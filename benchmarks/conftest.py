@@ -17,14 +17,14 @@ preserves the protocol ordering.
 
 The shared sweep also honours the execution-subsystem knobs:
 
-* ``REPRO_BENCH_WORKERS=N`` — run the sweep on a
-  :class:`~repro.exec.ParallelExecutor` with N worker processes
-  (results are bit-for-bit identical to the serial run).
+* ``REPRO_BENCH_WORKERS=N`` — run the sweep on N worker processes of
+  :class:`~repro.exec.ClusterExecutor` (results are bit-for-bit
+  identical to the in-process run).
 * ``REPRO_BENCH_CACHE=DIR`` — reuse an on-disk result cache, so repeated
   benchmark sessions only simulate cells that changed.
 
 The *timed* ``benchmark.pedantic`` runs always execute in-process —
-timings measure the simulator, never the executor.
+timings measure the simulator, never the executor's process pool.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import os
 
 import pytest
 
-from repro.exec import build_executor
+from repro.exec import ClusterExecutor
 from repro.experiments.sweep import SweepSettings, run_speed_sweep
 from repro.scenario.config import ScenarioConfig
 
@@ -70,16 +70,18 @@ def single_run_config(protocol: str, max_speed: float = 10.0,
                           sim_time=15.0, seed=seed)
 
 
-def sweep_executor():
-    """Executor for the shared sweep, configured from the environment."""
-    return build_executor(int(os.environ.get("REPRO_BENCH_WORKERS", "1")),
-                          os.environ.get("REPRO_BENCH_CACHE") or None)
+def sweep_executor() -> ClusterExecutor:
+    """The shared sweep's executor, configured from the environment."""
+    workers = int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
+    return ClusterExecutor(shards=workers or os.cpu_count() or 1,
+                           cache=os.environ.get("REPRO_BENCH_CACHE") or None)
 
 
 @pytest.fixture(scope="session")
 def figure_sweep():
     """The shared (protocol × speed) sweep all shape checks read from."""
-    return run_speed_sweep(sweep_settings(), executor=sweep_executor())
+    with sweep_executor() as executor:
+        return run_speed_sweep(sweep_settings(), executor=executor)
 
 
 def series_mean(series, protocol):

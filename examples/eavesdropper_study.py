@@ -9,7 +9,7 @@ obtained, both for the random placement and for the worst-case placement
 (the busiest relay).
 
 The (protocol × seed) grid is a batch of independent simulations, so it
-runs on a pluggable executor: ``--workers N`` fans it out over N worker
+runs on the shared executor: ``--workers N`` fans it out over N worker
 processes and ``--cache DIR`` reuses previously simulated cells.
 
 Usage::
@@ -55,15 +55,15 @@ def main() -> None:
                           args.paper_scale) for seed, protocol in grid]
 
     print(f"Passive eavesdropper study | speed {args.speed} m/s | "
-          f"{args.seeds} seed(s) | {type(executor).__name__}\n")
+          f"{args.seeds} seed(s) | {executor.shards} worker(s)\n")
     header = (f"{'protocol':>9} {'seed':>5} {'Pe':>6} {'Pr':>6} "
               f"{'intercept':>10} {'worst-case':>11} {'particip.':>10} "
               f"{'relay-std':>10}")
     print(header)
 
     def print_row(index, config, result):
-        # Fires as each run completes (completion order under a parallel
-        # executor), so long paper-scale studies show live progress.
+        # Fires as each run completes (completion order on worker
+        # processes), so long paper-scale studies show live progress.
         seed, protocol = grid[index]
         print(f"{protocol:>9} {seed:>5} {result.packets_eavesdropped:>6} "
               f"{result.packets_received:>6} "
@@ -72,7 +72,8 @@ def main() -> None:
               f"{result.participating_nodes:>10} "
               f"{result.relay_std:>10.4f}", flush=True)
 
-    results = executor.run(configs, progress=print_row)
+    with executor:
+        results = executor.run(configs, progress=print_row)
     summary = {protocol: [] for protocol in protocols}
     for (seed, protocol), result in zip(grid, results):
         summary[protocol].append(result)

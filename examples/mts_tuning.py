@@ -42,18 +42,20 @@ def main() -> None:
                           field_size=(1000.0, 1000.0),
                           max_speed=args.speed, sim_time=args.sim_time,
                           seed=args.seed)
-    executor = executor_from_args(args)
+    with executor_from_args(args) as executor:
+        print("Sweeping the route-checking interval "
+              "(paper recommends 2-4 s)...")
+        interval_results = run_check_interval_ablation(config=base,
+                                                       executor=executor)
+        print(format_ablation(interval_results, "check_interval_s"))
+        print()
 
-    print("Sweeping the route-checking interval (paper recommends 2-4 s)...")
-    interval_results = run_check_interval_ablation(config=base,
-                                                   executor=executor)
-    print(format_ablation(interval_results, "check_interval_s"))
-    print()
-
-    print("Sweeping the maximum number of stored disjoint paths (paper: 5)...")
-    paths_results = run_max_paths_ablation(config=base, executor=executor)
-    print(format_ablation(paths_results, "max_disjoint_paths"))
-    print()
+        print("Sweeping the maximum number of stored disjoint paths "
+              "(paper: 5)...")
+        paths_results = run_max_paths_ablation(config=base,
+                                               executor=executor)
+        print(format_ablation(paths_results, "max_disjoint_paths"))
+        print()
 
     print("Reading guide: shorter checking intervals and larger path stores "
           "spread traffic over more relays (higher participating-node count, "

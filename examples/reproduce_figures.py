@@ -15,15 +15,14 @@ normalisation walkthrough.  The canned grid profiles of
   workloads: 100 nodes at twice/half the paper's density, or five
   concurrent TCP flows.
 
-Execution is pluggable: ``--workers N`` fans the independent grid cells
-out over N worker processes (results are bit-for-bit identical to the
-serial run), ``--scheduler K`` instead routes the grid through the
-streaming shard scheduler (cache-aware pre-filtering plus rebalancing
-after worker deaths; see ``repro-sweep run --scheduler``), ``--cache
-DIR`` reuses previously simulated cells from an on-disk result cache (so
-regenerating figures after an interrupted or repeated run only simulates
-what is missing), and ``--save-json PATH`` writes the whole sweep as a
-durable JSON artifact.  ``--from-artifact PATH`` re-renders everything
+``--workers N`` fans the independent grid cells out over N worker
+processes (``0`` = one per CPU core; results are bit-for-bit identical
+to the in-process run, and workers that die are rebalanced for up to
+``--max-retries`` extra rounds), ``--cache DIR`` reuses previously
+simulated cells from an on-disk result cache (so regenerating figures
+after an interrupted or repeated run only simulates what is missing),
+and ``--save-json PATH`` writes the whole sweep as a durable JSON
+artifact.  ``--from-artifact PATH`` re-renders everything
 from such an artifact with **zero** simulations (see also ``repro-sweep
 render``).
 
@@ -41,12 +40,7 @@ import sys
 import time
 
 from repro.cli.sweep import add_propagation_options, apply_propagation_overrides
-from repro.exec import (
-    ClusterExecutor,
-    add_executor_options,
-    build_executor,
-    executor_from_args,
-)
+from repro.exec import add_executor_options, executor_from_args
 from repro.experiments import (
     FIGURES,
     SweepResult,
@@ -97,13 +91,9 @@ def main() -> None:
     parser.add_argument("--skip-table1", action="store_true",
                         help="skip the Table I walkthrough run")
     add_executor_options(parser)
-    parser.add_argument("--scheduler", type=int, metavar="K", default=None,
-                        help="run the sweep through the streaming shard "
-                             "scheduler with K worker shards instead of "
-                             "--workers (cache-aware, crash-rebalancing)")
-    parser.add_argument("--max-retries", type=int, default=None, metavar="N",
+    parser.add_argument("--max-retries", type=int, default=2, metavar="N",
                         help="extra scheduling rounds after worker failures "
-                             "(scheduler mode only; default 2)")
+                             "(default 2)")
     parser.add_argument("--save-json", metavar="PATH", default=None,
                         help="write the full sweep (settings + every run) "
                              "to PATH as JSON")
@@ -111,15 +101,7 @@ def main() -> None:
                         help="re-render figures from a sweep artifact "
                              "written by --save-json (zero simulations)")
     args = parser.parse_args()
-    if args.scheduler is not None:
-        if args.scheduler < 1:
-            parser.error("--scheduler must be >= 1")
-        if args.workers != 1:
-            parser.error("--workers conflicts with --scheduler (the "
-                         "scheduler manages its own worker fan-out)")
-    elif args.max_retries is not None:
-        parser.error("--max-retries requires --scheduler")
-    if args.max_retries is not None and args.max_retries < 0:
+    if args.max_retries < 0:
         parser.error("--max-retries must be >= 0")
 
     if args.from_artifact:
@@ -130,15 +112,7 @@ def main() -> None:
                                   args.propagation_params)
     except ValueError as exc:
         parser.error(str(exc))
-    scheduler = None
-    if args.scheduler is not None:
-        scheduler = ClusterExecutor(
-            shards=args.scheduler, cache=args.cache,
-            max_retries=2 if args.max_retries is None else args.max_retries)
-        # Table I still runs through an ordinary executor (same cache).
-        executor = build_executor(1, args.cache)
-    else:
-        executor = executor_from_args(args)
+    executor = executor_from_args(args, max_retries=args.max_retries)
     total_runs = (len(settings.protocols) * len(settings.speeds)
                   * settings.replications)
     print(f"Profile {args.profile}: {len(settings.protocols)} protocols × "
@@ -158,20 +132,13 @@ def main() -> None:
               f"delay={result.mean_delay * 1000:6.1f} ms "
               f"({elapsed:6.1f} s elapsed)", flush=True)
 
-    if scheduler is not None:
-        sweep = scheduler.run_sweep(settings, progress=progress)
-        print(f"\nscheduler: {scheduler.cells_from_cache} cell(s) from "
-              f"cache, {scheduler.cells_streamed} streamed from "
-              f"{scheduler.workers_launched} worker(s); "
-              f"{scheduler.worker_failures} worker failure(s)")
-    else:
+    with executor:
         sweep = run_speed_sweep(settings, progress=progress,
                                 executor=executor)
-        if executor.cache is not None:
-            print(f"\ncache: {executor.cache.hits} hit(s), "
-                  f"{executor.simulations_run} simulation(s) executed, "
-                  f"{len(executor.cache)} entr(ies) in "
-                  f"{executor.cache.root}")
+    print(f"\nexecutor: {executor.cells_from_cache} cell(s) from cache, "
+          f"{executor.cells_streamed} simulation(s) executed on "
+          f"{executor.shards} worker(s); {executor.worker_failures} "
+          f"worker failure(s)")
     if args.save_json:
         sweep.save(args.save_json)
         print(f"sweep written to {args.save_json}")
@@ -192,7 +159,8 @@ def main() -> None:
             sim_time=settings.config_overrides.get("sim_time", 30.0),
             seed=5,
         )
-        normalization, _ = run_table1(table_config, executor=executor)
+        with executor:
+            normalization, _ = run_table1(table_config, executor=executor)
         print()
         print(format_table1(normalization))
 

@@ -13,8 +13,8 @@ The package contains two layers:
   (:mod:`repro.security`), the paper's metrics (:mod:`repro.metrics`),
   and the experiment harness (:mod:`repro.scenario`,
   :mod:`repro.experiments`) with its execution subsystem
-  (:mod:`repro.exec` — serial/parallel executors plus an on-disk
-  result cache).
+  (:mod:`repro.exec` — one executor, in-process or on a warm worker
+  pool, plus an on-disk result cache).
 
 Quickstart
 ----------
@@ -31,12 +31,7 @@ from repro.version import __version__
 from repro.scenario.config import ScenarioConfig
 from repro.scenario.runner import run_scenario, run_replications
 from repro.scenario.builder import ScenarioBuilder, Scenario
-from repro.exec import (
-    Executor,
-    ParallelExecutor,
-    ResultCache,
-    SerialExecutor,
-)
+from repro.exec import ClusterExecutor, ResultCache
 
 __all__ = [
     "__version__",
@@ -45,8 +40,6 @@ __all__ = [
     "Scenario",
     "run_scenario",
     "run_replications",
-    "Executor",
-    "SerialExecutor",
-    "ParallelExecutor",
+    "ClusterExecutor",
     "ResultCache",
 ]

@@ -49,7 +49,7 @@ class OrchestrationSpec:
     """Workload shape of the orchestration benchmark.
 
     ``entries`` sweep grids of ``protocols x speeds x replications``
-    tiny cells run back-to-back through one scheduler at ``--scheduler
+    tiny cells run back-to-back through one executor at ``--workers
     shards`` — small enough that a full cold+warm driver run stays in
     the low seconds, large enough that per-entry worker spawning (the
     thing the persistent pool removes) is visible in the total.
@@ -253,7 +253,7 @@ def run_orchestration(spec: Optional[OrchestrationSpec] = None,
         profile=ORCHESTRATION_PROFILE,
         description=f"Scheduler cells/sec over {spec.entries} "
                     f"campaign-style entries of {spec.cells_per_entry} "
-                    f"tiny cells at --scheduler {spec.shards}; cold and "
+                    f"tiny cells at --workers {spec.shards}; cold and "
                     f"warm cache.",
         cases=results,
         created_unix=time.time())  # repro-lint: ignore[D-wallclock] provenance stamp

@@ -5,7 +5,8 @@
 rerun resume instead of recompute) and the
 :class:`~repro.campaign.store.ArtifactStore` (rendered deliverables; what
 ``repro-serve`` reads).  The runner itself keeps no state files, so
-killing it at any point loses at most the in-flight cell.
+killing it at any point loses at most the in-flight cells and those
+completed since the last batched cache write.
 """
 
 from __future__ import annotations
@@ -16,10 +17,7 @@ from typing import Dict, List, Optional
 
 from repro.campaign.manifest import CampaignSpec
 from repro.campaign.store import ArtifactStore
-from repro.exec import (
-    ClusterExecutor, Executor, ResultCache, assemble_sweep_result,
-    resolve_executor,
-)
+from repro.exec import ClusterExecutor, ResultCache
 from repro.experiments.figures import FIGURES, format_figure, render_figures
 from repro.experiments.sweep import SweepResult
 from repro.experiments.table1 import table1_from_sweep
@@ -112,7 +110,6 @@ def campaign_status(spec: CampaignSpec,
 
 def run_campaign(spec: CampaignSpec,
                  cache: Optional[ResultCache] = None,
-                 executor: Optional[Executor] = None,
                  store: Optional[ArtifactStore] = None,
                  stop_after_cells: Optional[int] = None,
                  scheduler: Optional[ClusterExecutor] = None,
@@ -121,10 +118,10 @@ def run_campaign(spec: CampaignSpec,
 
     Parameters
     ----------
-    cache / executor:
-        As in :func:`~repro.experiments.sweep.run_speed_sweep`, except a
-        cache is *mandatory* (on the executor or passed directly) —
-        campaign resumability is nothing but cache content addressing.
+    cache:
+        The result cache — *mandatory*, here or on ``scheduler`` (not
+        both): campaign resumability is nothing but cache content
+        addressing.
     store:
         When given, every completed entry's deliverables (sweep JSON,
         per-figure text, combined figures, Table I) are published as
@@ -132,100 +129,51 @@ def run_campaign(spec: CampaignSpec,
         ``repro-serve`` pointed at the store can answer queries with
         zero simulations.
     stop_after_cells:
-        Deterministic kill switch for resume testing: raise
-        :class:`CampaignInterrupted` once this many *new* simulations
-        have completed (each durably cached first).  Not supported on
-        the scheduler path (cells complete in parallel worker
-        processes, so a serial "after N" point does not exist).
+        Deterministic kill switch for resume testing: simulate exactly
+        the first this-many missing cells (in manifest and grid order),
+        flush them to the cache, then raise :class:`CampaignInterrupted`.
     scheduler:
-        A :class:`~repro.exec.ClusterExecutor` to run every entry
-        through instead of a cell-at-a-time executor.  Its persistent
-        worker pool is reused across all entries (spawn once, run the
-        whole campaign warm); the caller keeps ownership — close it (or
-        use it as a context manager) after the campaign.  Mutually
-        exclusive with ``executor`` and ``stop_after_cells``.
+        The :class:`~repro.exec.ClusterExecutor` every entry runs on;
+        defaults to an in-process one.  A pooled executor's workers are
+        reused across all entries (spawn once, run the whole campaign
+        warm); the caller keeps ownership — close it (or use it as a
+        context manager) after the campaign.
 
     Cells already cached are never re-simulated; an interrupted or
     crashed campaign therefore resumes by re-running the same call.
+    Per-entry ``from_cache``/``simulated`` come from the executor's
+    counters; its ``stage_seconds`` accumulate into
+    ``total_stage_seconds`` across the campaign.
     """
-    if scheduler is not None:
-        return _run_campaign_scheduled(spec, cache, scheduler, store,
-                                       executor, stop_after_cells)
-    runner = resolve_executor(executor, cache)
-    cache = runner.cache
+    if scheduler is None:
+        scheduler = ClusterExecutor(cache=cache)
+    elif cache is not None:
+        if scheduler.cache is not None:
+            raise ValueError("pass the cache on the scheduler or via "
+                             "cache=, not both")
+        scheduler.cache = cache
+    cache = scheduler.cache
     if cache is None:
         raise ValueError(
-            "run_campaign needs a cache (pass cache= or an executor with "
+            "run_campaign needs a cache (pass cache= or a scheduler with "
             "one): campaign resumability lives in the result cache")
     remaining = stop_after_cells
     entries: List[EntryRun] = []
     sweeps: Dict[str, SweepResult] = {}
     for entry, settings in spec.expand():
-        configs = settings.cell_configs()
         if remaining is not None:
-            missing = [index for index, config in enumerate(configs)
+            missing = [config for config in settings.cell_configs()
                        if not cache.has_current(config)]
             if len(missing) > remaining:
-                for index in missing[:remaining]:
-                    runner.run_one(configs[index])
+                scheduler.run(missing[:remaining])
                 # The budget is exhausted here by construction: earlier
                 # entries consumed (stop_after_cells - remaining) and the
-                # loop above just ran the final `remaining`.
+                # run above just simulated the final `remaining`.
                 raise CampaignInterrupted(
                     campaign=spec.name, entry=entry.name,
                     simulated=stop_after_cells or 0)
             remaining -= len(missing)
-        before = runner.simulations_run
-        results = runner.run(configs)
-        simulated = runner.simulations_run - before
-        sweep = assemble_sweep_result(settings, dict(enumerate(results)))
-        sweeps[entry.name] = sweep
-        entries.append(EntryRun(name=entry.name, cells=len(configs),
-                                from_cache=len(configs) - simulated,
-                                simulated=simulated))
-    index_path = None
-    if store is not None:
-        index_path = publish_campaign(spec, sweeps, store)
-    return CampaignReport(campaign=spec.name, entries=entries,
-                          index_path=index_path, sweeps=sweeps)
-
-
-def _run_campaign_scheduled(spec: CampaignSpec,
-                            cache: Optional[ResultCache],
-                            scheduler: ClusterExecutor,
-                            store: Optional[ArtifactStore],
-                            executor: Optional[Executor],
-                            stop_after_cells: Optional[int],
-                            ) -> CampaignReport:
-    """Scheduler path of :func:`run_campaign`: one warm pool, all entries.
-
-    Each entry's grid runs through ``scheduler.run_sweep`` — the cache
-    pre-filter gives the same resume semantics as the serial path, and
-    the pooled workers stay warm from one entry to the next.  Per-entry
-    ``from_cache``/``simulated`` come from the scheduler's own counters
-    (``cells_from_cache``/``cells_streamed``); its ``stage_seconds``
-    accumulate into ``total_stage_seconds`` across the campaign.
-    """
-    if executor is not None:
-        raise ValueError(
-            "run_campaign takes either executor= or scheduler=, not both")
-    if stop_after_cells is not None:
-        raise ValueError(
-            "stop_after_cells is not supported with scheduler= (cells "
-            "complete in parallel worker processes); use the serial or "
-            "parallel executor path for resume testing")
-    if scheduler.cache is None:
-        if cache is None:
-            raise ValueError(
-                "run_campaign needs a cache (pass cache= or a scheduler "
-                "with one): campaign resumability lives in the result "
-                "cache")
-        scheduler.cache = cache
-    entries: List[EntryRun] = []
-    sweeps: Dict[str, SweepResult] = {}
-    for entry, settings in spec.expand():
-        sweep = scheduler.run_sweep(settings)
-        sweeps[entry.name] = sweep
+        sweeps[entry.name] = scheduler.run_sweep(settings)
         entries.append(EntryRun(name=entry.name,
                                 cells=len(settings.grid()),
                                 from_cache=scheduler.cells_from_cache,

@@ -100,7 +100,7 @@ def cmd_list() -> int:
     spec = OrchestrationSpec()
     print(f"{ORCHESTRATION_PROFILE:<8} 2 case(s): scheduler cells/sec "
           f"(cold + warm cache) over {spec.entries} campaign-style "
-          f"entries at --scheduler {spec.shards}")
+          f"entries at --workers {spec.shards}")
     return 0
 
 
@@ -222,7 +222,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             spec = OrchestrationSpec()
             print(f"profile {name}: 2 case(s) "
                   f"({spec.entries} entries x {spec.cells_per_entry} cells "
-                  f"at --scheduler {spec.shards}, best of "
+                  f"at --workers {spec.shards}, best of "
                   f"{args.orch_best_of})")
             runner = functools.partial(
                 run_orchestration, spec=spec, src_root=args.orch_src,

@@ -9,19 +9,17 @@ directories)::
     repro-cache merge  DEST SOURCE [SOURCE ...]
     repro-cache gc     ROOT [--max-age-days D] [--max-size-mb M] [--dry-run]
     repro-cache pack   ROOT [--batch-size N]
-    repro-cache unpack ROOT
 
-Exit status is 0 on success; ``verify`` exits 1 when corrupt entries are
-found and ``merge`` exits 1 when same-key entries with different content
-collide (the destination copy is kept either way).
+Exit status is 0 on success; ``verify`` exits 1 when corrupt or loose
+entries are found and ``merge`` exits 1 when same-key entries with
+different content collide (the destination copy is kept either way).
 
-``pack`` consolidates loose per-cell entry files into packed segment
-files (``packs/*.pack``: many entries per file behind an offset index —
-the layout scheduler workers write by default); ``unpack`` explodes the
-segments back into loose files.  Both preserve every entry byte-for-byte
-and neither changes the content-addressed key contract, so lookups,
-``verify``, ``prune``, ``gc`` and ``merge`` treat packed and loose
-entries identically.
+Every writer stores entries in packed segment files (``packs/*.pack``:
+many entries per file behind an offset index).  ``pack`` is the one-time
+migration for caches written by older releases: it moves their loose
+per-cell files (``<2-char>/<key>.json``, which nothing serves) into
+segments, keeping keys and guards.  ``stats`` and ``verify`` name every
+loose file left, and ``prune`` never deletes one.
 
 A cache entry is only served when its recorded ``repro`` version matches
 the running package, and **any PR that changes simulation behaviour must
@@ -65,10 +63,14 @@ def cmd_stats(args: argparse.Namespace) -> int:
     for version, count in stats.by_version.items():
         marker = " (current)" if version == stats.current_version else ""
         print(f"    repro {version}: {count}{marker}")
-    print(f"  packed:       {stats.packed_entries} entr(ies) in "
-          f"{stats.packs} pack segment(s)")
+    print(f"  segments:     {stats.packs}")
     print(f"  unreadable:   {stats.unreadable}")
     print(f"  temp files:   {stats.temp_files}")
+    if stats.loose_files:
+        print(f"  loose files:  {len(stats.loose_files)} (not served; run "
+              f"`repro-cache pack {stats.root}` to migrate them)")
+        for path in stats.loose_files:
+            print(f"    {path}")
     return 0
 
 
@@ -76,6 +78,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     problems = ResultCache(args.root).verify()
     corrupt = [p for p in problems if p.kind == "corrupt"]
     stale = [p for p in problems if p.kind == "stale"]
+    loose = [p for p in problems if p.kind == "loose"]
     if args.json:
         print(json.dumps([{"path": str(p.path), "kind": p.kind,
                            "detail": p.detail} for p in problems],
@@ -84,8 +87,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for problem in problems:
             print(f"{problem.kind:>8}  {problem.path}: {problem.detail}")
         print(f"{len(corrupt)} corrupt, {len(stale)} stale "
-              f"(from another version) entr(ies)")
-    return 1 if corrupt else 0
+              f"(from another version), {len(loose)} loose (run "
+              f"`repro-cache pack`) entr(ies)")
+    return 1 if corrupt or loose else 0
 
 
 def cmd_prune(args: argparse.Namespace) -> int:
@@ -125,12 +129,6 @@ def cmd_pack(args: argparse.Namespace) -> int:
     segments, packed = ResultCache(args.root).pack_all(
         batch_size=args.batch_size)
     print(f"packed {packed} loose entr(ies) into {segments} segment(s)")
-    return 0
-
-
-def cmd_unpack(args: argparse.Namespace) -> int:
-    segments, unpacked = ResultCache(args.root).unpack_all()
-    print(f"unpacked {unpacked} entr(ies) from {segments} segment(s)")
     return 0
 
 
@@ -203,7 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     gc.set_defaults(func=cmd_gc)
 
     pack = sub.add_parser(
-        "pack", help="consolidate loose entry files into packed segments")
+        "pack", help="migrate loose entry files from older releases into "
+                     "packed segments")
     pack.add_argument("root", help="cache directory")
     pack.add_argument("--batch-size", type=int, default=PACK_BATCH_SIZE,
                       metavar="N",
@@ -211,10 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
                            f"(default {PACK_BATCH_SIZE})")
     pack.set_defaults(func=cmd_pack)
 
-    unpack = sub.add_parser(
-        "unpack", help="explode packed segments back into loose files")
-    unpack.add_argument("root", help="cache directory")
-    unpack.set_defaults(func=cmd_unpack)
     return parser
 
 

@@ -3,7 +3,7 @@
 Subcommands::
 
     repro-campaign run    MANIFEST --cache DIR [--store DIR] [--workers N]
-                          [--stop-after-cells N | --scheduler K]
+                          [--stop-after-cells N]
     repro-campaign status MANIFEST --cache DIR [--json]
     repro-campaign query  --store DIR [--campaign NAME [--entry NAME
                           [--figure ID | --figures | --table1 | --sweep]]]
@@ -15,13 +15,12 @@ serves completed cells from the cache and simulates only the misses, so
 crash recovery is simply "run it again".  With ``--store``, rendered
 deliverables (sweep JSON, figure text, Table I) are published to the
 content-addressed artifact store that ``repro-serve`` and ``query``
-answer from with zero simulations.  ``--stop-after-cells N`` exits with
-code 3 after N newly simulated cells — a deterministic mid-campaign
-"kill" for resume testing and CI.  ``--scheduler K`` runs every entry
-through the streaming shard scheduler instead: one persistent pool of up
-to K warm workers serves the whole campaign, and the per-stage wall-time
-totals are printed at the end (not combinable with
-``--stop-after-cells``).
+answer from with zero simulations.  ``--stop-after-cells N`` simulates
+exactly the first N missing cells, caches them and exits with code 3 —
+a deterministic mid-campaign "kill" for resume testing and CI.  With
+``--workers N`` (``0`` = one per CPU core) one persistent pool of N warm
+workers serves the whole campaign; the per-stage wall-time totals are
+printed at the end.
 
 ``status`` reports per-entry cache coverage using the O(1) entry-header
 probe — no simulations, no result deserialization.
@@ -46,7 +45,6 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.exec import (
-    ClusterExecutor,
     ResultCache,
     StaleArtifactError,
     add_executor_options,
@@ -73,43 +71,28 @@ def cmd_run(args: argparse.Namespace) -> int:
         print("error: campaign runs need --cache (resumability lives in "
               "the result cache)", file=sys.stderr)
         return 2
-    if args.scheduler is not None and args.stop_after_cells is not None:
-        print("error: --stop-after-cells requires the serial/parallel "
-              "path (omit --scheduler): scheduled cells complete in "
-              "parallel workers, so a serial after-N point does not "
-              "exist", file=sys.stderr)
-        return 2
     store = ArtifactStore(args.store) if args.store else None
-    scheduler = None
+    scheduler = executor_from_args(args)
     try:
-        if args.scheduler is not None:
-            scheduler = ClusterExecutor(shards=args.scheduler,
-                                        cache=args.cache)
-            report = run_campaign(spec, store=store, scheduler=scheduler)
-        else:
-            executor = executor_from_args(args)
-            report = run_campaign(spec, executor=executor, store=store,
+        with scheduler:
+            report = run_campaign(spec, store=store, scheduler=scheduler,
                                   stop_after_cells=args.stop_after_cells)
     except CampaignInterrupted as exc:
         print(f"interrupted: {exc}")
         return EXIT_INTERRUPTED
-    finally:
-        if scheduler is not None:
-            scheduler.close()
     for entry in report.entries:
         print(f"entry {entry.name}: {entry.cells} cell(s): "
               f"{entry.from_cache} from cache, {entry.simulated} simulated")
     print(f"campaign {report.campaign}: {report.cells} cell(s): "
           f"{report.from_cache} from cache, {report.simulated} simulated")
-    if scheduler is not None:
-        print(f"scheduler: pool spawned {scheduler.total_workers_spawned} "
-              f"process(es) for the whole campaign, served "
-              f"{scheduler.total_workers_reused} dispatch(es) from warm "
-              f"workers")
-        stages = " ".join(
-            f"{stage}={seconds * 1000.0:.0f}ms" for stage, seconds
-            in sorted(scheduler.total_stage_seconds.items()))
-        print(f"scheduler stages (campaign total): {stages}")
+    print(f"scheduler: pool spawned {scheduler.total_workers_spawned} "
+          f"process(es) for the whole campaign, served "
+          f"{scheduler.total_workers_reused} dispatch(es) from warm "
+          f"workers")
+    stages = " ".join(
+        f"{stage}={seconds * 1000.0:.0f}ms" for stage, seconds
+        in sorted(scheduler.total_stage_seconds.items()))
+    print(f"scheduler stages (campaign total): {stages}")
     if report.index_path is not None:
         print(f"published to store index {report.index_path}")
     return 0
@@ -199,13 +182,6 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-campaign",
@@ -221,15 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "(what repro-serve reads)")
     run.add_argument("--stop-after-cells", type=_nonnegative_int,
                      metavar="N", default=None,
-                     help="exit with code 3 after N newly simulated "
-                          "cells (deterministic mid-campaign kill for "
-                          "resume testing; not with --scheduler)")
-    run.add_argument("--scheduler", type=_positive_int, metavar="K",
-                     default=None,
-                     help="run every entry through the streaming shard "
-                          "scheduler with K worker shards; one warm "
-                          "worker pool serves the whole campaign "
-                          "(--workers is ignored on this path)")
+                     help="simulate exactly the first N missing cells, "
+                          "cache them and exit with code 3 (deterministic "
+                          "mid-campaign kill for resume testing)")
     run.set_defaults(func=cmd_run)
 
     status = sub.add_parser(

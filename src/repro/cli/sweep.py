@@ -4,9 +4,9 @@ Subcommands::
 
     repro-sweep run    [--profile P | --settings-json FILE] [--shard i/K]
                        [--propagation MODEL [--propagation-param K=V ...]]
-                       [--scheduler K [--max-retries N] [--inject-fault F]
-                        [--worker-timeout S] [--inject-hang F] [--no-pool]]
-                       [--workers N] [--cache DIR] [--out PATH] [--quiet]
+                       [--workers N [--max-retries N] [--inject-fault F]
+                        [--worker-timeout S] [--inject-hang F]]
+                       [--cache DIR] [--out PATH] [--quiet]
                        [--list-profiles]
     repro-sweep plan   [--profile P | --settings-json FILE] --shards K
     repro-sweep merge  --out PATH SHARD [SHARD ...]
@@ -19,16 +19,15 @@ passes model parameters such as ``sigma_db=6``.  ``--list-profiles``
 prints the canned grid profiles plus the registered stack components
 and exits.
 
-``run --scheduler K`` runs the whole grid through the streaming shard
-scheduler (:class:`repro.exec.ClusterExecutor`): cells already in the
-``--cache`` are served without simulating, the rest are dispatched to a
-persistent pool of up to K worker processes (``--no-pool`` retires each
-worker after its dispatch instead), and workers that die mid-shard are
-rebalanced for up to ``--max-retries`` extra rounds onto surviving warm
-workers.  The written artifact is a full ``SweepResult``, byte-identical
-to an unsharded serial ``run``.  A per-stage wall-time breakdown
-(spawn/serialize/simulate/stream/merge/cache_write/lookup) is printed
-after the run.  ``--inject-fault unit:after_cells[:round]``
+``run`` executes its cells on :class:`repro.exec.ClusterExecutor`:
+cells already in the ``--cache`` are served without simulating, the rest
+run in-process (``--workers 1``, the default) or on a persistent pool of
+N worker processes (``--workers N``; ``0`` = one per CPU core), where
+workers that die mid-unit are rebalanced for up to ``--max-retries``
+extra rounds onto surviving warm workers.  The artifact is
+byte-identical whatever the worker count.  A per-stage wall-time
+breakdown (spawn/serialize/simulate/stream/merge/cache_write/lookup) is
+printed after the run.  ``--inject-fault unit:after_cells[:round]``
 deterministically kills a worker (testing/CI knob).
 
 A sharded sweep across K machines looks like::
@@ -60,7 +59,6 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.exec import (
-    ClusterExecutor,
     FaultInjection,
     StaleArtifactError,
     SweepShard,
@@ -171,13 +169,6 @@ def _add_settings_options(parser: argparse.ArgumentParser) -> None:
 
 
 # ---------------------------------------------------------------------- #
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
-
-
 def _nonnegative_int(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -202,62 +193,6 @@ def cmd_list_profiles() -> int:
     return 0
 
 
-def cmd_run_scheduler(args: argparse.Namespace,
-                      settings: SweepSettings) -> int:
-    total = len(settings.grid())
-    try:
-        faults = [FaultInjection.parse(text)
-                  for text in args.inject_fault or []]
-        faults += [FaultInjection.parse(text, mode="hang")
-                   for text in args.inject_hang or []]
-    except ValueError as exc:
-        print(f"--inject-fault/--inject-hang: {exc}", file=sys.stderr)
-        return 2
-    max_retries = 2 if args.max_retries is None else args.max_retries
-    scheduler = ClusterExecutor(shards=args.scheduler,
-                                max_retries=max_retries,
-                                cache=args.cache, faults=faults,
-                                worker_timeout=args.worker_timeout,
-                                use_pool=not args.no_pool)
-    print(f"scheduler: {total} grid cell(s) across up to "
-          f"{args.scheduler} worker shard(s)"
-          f"{' (pool disabled)' if args.no_pool else ''}")
-    started = time.time()  # repro-lint: ignore[D-wallclock] progress display only
-    progress = None
-    if not args.quiet:
-        completed = [0]
-
-        def progress(protocol, speed, replication, result):
-            completed[0] += 1
-            print(f"  [{completed[0]:>3}/{total}] {protocol:<5} "
-                  f"speed={speed:<4g} rep={replication} "
-                  f"({time.time() - started:6.1f} s elapsed)",  # repro-lint: ignore[D-wallclock] display
-                  flush=True)
-
-    try:
-        sweep = scheduler.run_sweep(settings, progress=progress)
-    finally:
-        scheduler.close()
-    print(f"scheduler: {scheduler.cells_from_cache} cell(s) from cache, "
-          f"{scheduler.cells_streamed} streamed from "
-          f"{scheduler.workers_launched} worker(s) over "
-          f"{scheduler.rounds} round(s); "
-          f"{scheduler.worker_failures} worker failure(s) "
-          f"({scheduler.workers_timed_out} timed out), "
-          f"{scheduler.temp_files_swept} orphan temp file(s) swept")
-    print(f"scheduler: pool spawned {scheduler.workers_spawned} "
-          f"process(es), served {scheduler.workers_reused} dispatch(es) "
-          f"from warm workers")
-    stages = " ".join(f"{stage}={seconds * 1000.0:.0f}ms" for stage, seconds
-                      in sorted(scheduler.stage_seconds.items()))
-    print(f"scheduler stages: {stages}")
-    if args.out:
-        sweep.save(args.out)
-        print(f"sweep result written to {args.out}")
-    print(f"wall-clock: {time.time() - started:.1f} s")  # repro-lint: ignore[D-wallclock] display
-    return 0
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     if args.list_profiles:
         return cmd_list_profiles()
@@ -266,33 +201,34 @@ def cmd_run(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.scheduler is not None:
-        if args.shard != "0/1":
-            print("--scheduler and --shard are mutually exclusive "
-                  "(the scheduler plans its own shards)", file=sys.stderr)
-            return 2
-        if args.inject_hang and args.worker_timeout is None:
-            # A hung worker is only ever recovered by the timeout
-            # heartbeat; without one the run would block forever.
-            print("--inject-hang requires --worker-timeout",
-                  file=sys.stderr)
-            return 2
-        return cmd_run_scheduler(args, settings)
-    if (args.inject_fault or args.inject_hang
-            or args.max_retries is not None
-            or args.worker_timeout is not None
-            or args.no_pool):
+    try:
+        faults = [FaultInjection.parse(text)
+                  for text in args.inject_fault or []]
+        faults += [FaultInjection.parse(text, mode="hang")
+                   for text in args.inject_hang or []]
+    except ValueError as exc:
+        print(f"--inject-fault/--inject-hang: {exc}", file=sys.stderr)
+        return 2
+    if args.workers == 1 and (faults or args.max_retries is not None
+                              or args.worker_timeout is not None):
         # Silently ignoring these would let a CI script believe its
         # fault-injection path ran when nothing was injected.
-        print("--inject-fault/--inject-hang/--max-retries/--worker-timeout/"
-              "--no-pool require --scheduler", file=sys.stderr)
+        print("--inject-fault/--inject-hang/--max-retries/--worker-timeout "
+              "require --workers 2 or more", file=sys.stderr)
+        return 2
+    if args.inject_hang and args.worker_timeout is None:
+        # A hung worker is only ever recovered by the timeout
+        # heartbeat; without one the run would block forever.
+        print("--inject-hang requires --worker-timeout", file=sys.stderr)
         return 2
     shard = ShardSpec.parse(args.shard)
-    executor = executor_from_args(args)
+    executor = executor_from_args(
+        args, faults=faults, worker_timeout=args.worker_timeout,
+        max_retries=2 if args.max_retries is None else args.max_retries)
     plan = plan_shards(settings, shard.count)
     planned = len(plan[shard.index])
     print(f"shard {shard}: {planned} of {len(settings.grid())} grid "
-          f"cell(s)")
+          f"cell(s) on {executor.shards} worker(s)")
 
     started = time.time()  # repro-lint: ignore[D-wallclock] progress display only
     progress = None
@@ -306,11 +242,22 @@ def cmd_run(args: argparse.Namespace) -> int:
                   f"({time.time() - started:6.1f} s elapsed)",  # repro-lint: ignore[D-wallclock] display
                   flush=True)
 
-    piece = run_sweep_shard(settings, shard=shard, progress=progress,
-                            executor=executor, plan=plan)
-    if executor.cache is not None:
-        print(f"cache: {executor.cache.hits} hit(s), "
-              f"{executor.simulations_run} simulation(s) executed")
+    with executor:
+        piece = run_sweep_shard(settings, shard=shard, progress=progress,
+                                executor=executor, plan=plan)
+    print(f"scheduler: {executor.cells_from_cache} cell(s) from cache, "
+          f"{executor.cells_streamed} streamed from "
+          f"{executor.workers_launched} worker(s) over "
+          f"{executor.rounds} round(s); "
+          f"{executor.worker_failures} worker failure(s) "
+          f"({executor.workers_timed_out} timed out), "
+          f"{executor.temp_files_swept} orphan temp file(s) swept")
+    print(f"scheduler: pool spawned {executor.workers_spawned} "
+          f"process(es), served {executor.workers_reused} dispatch(es) "
+          f"from warm workers")
+    stages = " ".join(f"{stage}={seconds * 1000.0:.0f}ms" for stage, seconds
+                      in sorted(executor.stage_seconds.items()))
+    print(f"scheduler stages: {stages}")
     if args.out:
         if shard.count == 1:
             merge_shard_results([piece]).save(args.out)
@@ -378,36 +325,26 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--shard", default="0/1", metavar="i/K",
                      help="run shard i of a K-way split (0-based; "
                           "default 0/1 = the whole grid)")
-    run.add_argument("--scheduler", type=_positive_int, metavar="K",
-                     default=None,
-                     help="run the whole grid through the streaming shard "
-                          "scheduler with K worker shards (cache-aware; "
-                          "rebalances after worker deaths; --workers is "
-                          "ignored on this path)")
     run.add_argument("--max-retries", type=_nonnegative_int, default=None,
                      metavar="N",
                      help="extra scheduling rounds allowed after worker "
-                          "failures (scheduler mode only; default 2)")
+                          "failures (--workers 2+; default 2)")
     run.add_argument("--inject-fault", action="append", metavar="U:C[:R]",
                      help="deterministically kill the worker of unit U in "
                           "round R (default 0) after C completed cells "
-                          "(scheduler mode; testing/CI knob; repeatable)")
+                          "(--workers 2+; testing/CI knob; repeatable)")
     run.add_argument("--worker-timeout", type=_positive_float, default=None,
                      metavar="SECONDS",
                      help="terminate and rebalance any worker showing no "
-                          "progress (no new cached cells) for SECONDS; "
+                          "progress (no new completed cells) for SECONDS; "
                           "must comfortably exceed the slowest single "
-                          "cell plus worker startup (scheduler mode; "
+                          "cell plus worker startup (--workers 2+; "
                           "recovers hung-but-alive workers)")
     run.add_argument("--inject-hang", action="append", metavar="U:C[:R]",
                      help="deterministically hang (not kill) the worker of "
                           "unit U in round R after C completed cells; "
-                          "requires --worker-timeout (scheduler mode; "
+                          "requires --worker-timeout (--workers 2+; "
                           "testing/CI knob; repeatable)")
-    run.add_argument("--no-pool", action="store_true",
-                     help="disable the persistent worker pool: retire "
-                          "every worker after its dispatch (scheduler "
-                          "mode; A/B measurement and CI coverage knob)")
     run.add_argument("--list-profiles", action="store_true",
                      help="list the canned grid profiles and the "
                           "registered stack components, then exit")

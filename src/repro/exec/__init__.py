@@ -1,32 +1,32 @@
-"""Experiment execution subsystem: executors + on-disk result cache.
+"""Experiment execution subsystem: one executor + the on-disk result cache.
 
 This package is the seam between "what to simulate" (the
 :mod:`repro.scenario` and :mod:`repro.experiments` layers) and "how to
-run it".  Everything that executes scenario grids — sweeps, figures,
-ablations, Table I, the example scripts — routes through an
-:class:`~repro.exec.executor.Executor`:
+run it".  Everything that executes scenario configs — sweeps, figures,
+ablations, Table I, shards, campaigns, the example scripts — routes
+through :class:`~repro.exec.scheduler.ClusterExecutor`:
 
-* :class:`~repro.exec.executor.SerialExecutor` — in-process, one run at a
-  time (the default, and the historical behaviour).
-* :class:`~repro.exec.executor.ParallelExecutor` — process-pool fan-out
-  with deterministic, submission-ordered results; bit-for-bit identical
-  to the serial path.
-* :class:`~repro.exec.cache.ResultCache` — content-addressed on-disk
-  cache keyed by a stable hash of the config, so repeated sweeps only
-  simulate cells that changed.
-* :class:`~repro.exec.scheduler.ClusterExecutor` — streaming shard
-  scheduler: cache-aware pre-filtering, a persistent
-  :class:`~repro.exec.scheduler.WorkerPool` fed over a cell-granular
-  JSON frame wire, incremental merging, and rebalancing after mid-unit
-  worker deaths; bit-for-bit identical to the serial path.
+* ``ClusterExecutor()`` (``shards=1``) simulates in-process and starts
+  no process;
+* ``ClusterExecutor(shards=K)`` runs on a persistent
+  :class:`~repro.exec.scheduler.WorkerPool` of up to K warm workers fed
+  over a cell-granular JSON frame wire, and rebalances after mid-unit
+  worker deaths.
+
+Either way results come back in input order and are bit-for-bit
+identical.  :class:`~repro.exec.cache.ResultCache` is the
+content-addressed on-disk cache (packed segments only) keyed by a
+stable hash of the config, so repeated sweeps only simulate cells that
+changed; :mod:`repro.exec.shard` splits a grid across machines and
+merges the pieces back.
 
 Quick usage::
 
-    from repro.exec import ParallelExecutor, ResultCache
+    from repro.exec import ClusterExecutor, ResultCache
     from repro.experiments import SweepSettings, run_speed_sweep
 
-    executor = ParallelExecutor(cache=ResultCache("results/cache"))
-    sweep = run_speed_sweep(SweepSettings.bench(), executor=executor)
+    with ClusterExecutor(shards=4, cache=ResultCache("results/cache")) as ex:
+        sweep = run_speed_sweep(SweepSettings.bench(), executor=ex)
 """
 
 from repro.exec.artifact import (
@@ -46,17 +46,6 @@ from repro.exec.cache import (
     ResultCache,
     config_key,
 )
-from repro.exec.executor import (
-    ExecutionError,
-    Executor,
-    ParallelExecutor,
-    SerialExecutor,
-    add_executor_options,
-    build_executor,
-    executor_from_args,
-    resolve_executor,
-    simulate,
-)
 from repro.exec.shard import (
     ShardMerger,
     ShardSpec,
@@ -73,9 +62,12 @@ from repro.exec.scheduler import (
     ClusterExecutor,
     FaultInjection,
     SchedulerError,
-    ShardScheduler,
     WorkerPool,
+    add_executor_options,
+    executor_for,
+    executor_from_args,
     partition_cells,
+    simulate,
 )
 
 __all__ = [
@@ -84,33 +76,27 @@ __all__ = [
     "CacheProblem",
     "CacheStats",
     "ClusterExecutor",
-    "ExecutionError",
-    "Executor",
     "FaultInjection",
     "MergeStats",
     "PACK_FORMAT_VERSION",
-    "ParallelExecutor",
     "PruneReport",
     "ResultCache",
     "SchedulerError",
-    "SerialExecutor",
     "StaleArtifactError",
     "ShardMerger",
-    "ShardScheduler",
     "ShardSpec",
     "SweepShard",
     "WorkerPool",
     "add_executor_options",
     "assemble_sweep_result",
     "atomic_write_text",
-    "build_executor",
     "check_artifact_stamp",
     "config_key",
+    "executor_for",
     "executor_from_args",
     "merge_shard_results",
     "partition_cells",
     "plan_shards",
-    "resolve_executor",
     "run_sweep_shard",
     "shard_of_config",
     "shard_of_key",

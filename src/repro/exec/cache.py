@@ -1,6 +1,6 @@
 """Content-addressed on-disk result cache.
 
-A :class:`ResultCache` stores one JSON file per completed simulation,
+A :class:`ResultCache` stores one JSON entry per completed simulation,
 keyed by a stable SHA-256 hash of the scenario configuration.  Re-running
 a sweep, a figure, or an ablation therefore only pays for the cells whose
 configuration actually changed; everything else is reloaded from disk.
@@ -15,21 +15,26 @@ Key properties
 * **Durable artifact.**  Each entry stores both the config and the full
   :class:`~repro.scenario.results.ScenarioResult`, so a cache directory
   doubles as a self-describing archive of every simulation ever run.
-* **Crash/concurrency safe.**  Entries are written to a unique temporary
-  file and atomically renamed into place; corrupt or stale entries are
-  treated as misses, never as errors.
+* **One layout: packed segments.**  Every write goes through
+  :meth:`ResultCache.put_many`, which stores a batch of entries as one
+  segment file (``<root>/packs/<id>.pack``): a one-line JSON offset index
+  followed by the concatenated entry bodies, written to a unique temp
+  file, fsynced once and atomically renamed into place.  A single
+  :meth:`ResultCache.put` is a pack of one.  Entries stay O(1) to probe
+  (seek + bounded read).
+* **Crash/concurrency safe.**  A reader never observes a half-written
+  segment; corrupt or stale entries are treated as misses, never as
+  errors.
 * **Version-guarded.**  Each entry records the ``repro`` package version
   that produced it; entries from another version are misses.  Any change
   that alters simulation behaviour must therefore bump
   ``repro.version.__version__`` — that is what keeps a long-lived cache
   directory from silently serving pre-change results as current.
-* **Batch-friendly.**  :meth:`ResultCache.put_many` stores a batch of
-  small entries as one *packed segment* (``<root>/packs/<id>.pack``): a
-  one-line JSON offset index followed by the concatenated entry bodies,
-  written with a single fsync.  Packed entries are byte-identical to
-  their loose form, keep the same content-addressed key and version
-  guard, and stay O(1) to probe (seek + bounded read).  The key contract
-  is unchanged — packing is a storage layout, not a schema change.
+
+Caches written by older releases may still hold loose per-entry files
+(``<root>/<2-char>/<key>.json``).  No reader serves them: ``stats`` and
+``verify`` name each one, and :meth:`ResultCache.pack_all` (CLI:
+``repro-cache pack``) migrates them into segments once.
 """
 
 from __future__ import annotations
@@ -53,15 +58,19 @@ from repro.version import __version__
 CACHE_FORMAT_VERSION = 1
 
 #: Bytes read by the :meth:`ResultCache.has_current` bounded probe —
-#: comfortably larger than the fixed header :meth:`ResultCache.put`
-#: writes (format version + 64-hex key + repro version ≈ 120 bytes).
+#: comfortably larger than the fixed header every entry starts with
+#: (format version + 64-hex key + repro version ≈ 120 bytes).
 _PROBE_HEADER_BYTES = 512
 
 #: Bump when the packed-segment layout changes; older packs become misses.
 PACK_FORMAT_VERSION = 1
 
-#: Default number of entries consolidated into one segment by ``pack_all``.
+#: Default number of entries consolidated into one segment by ``pack_all``
+#: and ``merge_from``.
 PACK_BATCH_SIZE = 1024
+
+#: Where an entry lives: ``(segment_path, offset, length)``.
+_Location = Tuple[Path, int, int]
 
 
 def atomic_write_text(path: Union[str, os.PathLike], text: str,
@@ -81,7 +90,7 @@ def atomic_write_text(path: Union[str, os.PathLike], text: str,
 
 
 def _entry_header(key: str) -> str:
-    """The fixed JSON prefix :meth:`ResultCache.put` writes for ``key``.
+    """The fixed JSON prefix every entry written for ``key`` starts with.
 
     Entries open with the three guard fields in a byte-exact layout so
     :meth:`ResultCache.has_current` can validate an entry from a small
@@ -92,6 +101,49 @@ def _entry_header(key: str) -> str:
     return (f'{{"format_version": {CACHE_FORMAT_VERSION}, '
             f'"key": "{key}", '
             f'"repro_version": {json.dumps(__version__)}, ')
+
+
+def _entry_text(key: str, config: ScenarioConfig,
+                result: ScenarioResult) -> str:
+    """The exact bytes of an entry: the guard header, then the body.
+
+    The body is the sorted-key JSON object; readers that need the
+    payload (:meth:`ResultCache.get`) parse the whole entry, while
+    :meth:`ResultCache.has_current` validates it from the header alone.
+    """
+    body = json.dumps({
+        "version": CACHE_FORMAT_VERSION,
+        "repro_version": __version__,
+        "key": key,
+        "config": config.to_dict(),
+        "result": result.to_dict(),
+    }, sort_keys=True)
+    return _entry_header(key) + body[1:]
+
+
+def _migrated_entry(key: str, data: bytes) -> bytes:
+    """The bytes a loose entry is packed as by :meth:`ResultCache.pack_all`.
+
+    Entries written before the guard header existed are re-emitted
+    through :func:`_entry_text` when they are current and well-formed,
+    so the packed bytes equal what the writer produces today.  Every
+    other entry (already headered, stale, or corrupt) moves verbatim and
+    keeps reading exactly as it did: stale stays stale, corrupt stays
+    corrupt for :meth:`ResultCache.verify` to report.
+    """
+    if data.startswith(b'{"format_version": '):
+        return data
+    try:
+        payload = json.loads(data.decode("utf-8"))
+        if (payload.get("version") != CACHE_FORMAT_VERSION
+                or payload.get("repro_version") != __version__
+                or payload.get("key") != key):
+            return data
+        config = ScenarioConfig.from_dict(payload["config"])
+        result = ScenarioResult.from_dict(payload["result"])
+    except (ValueError, KeyError, TypeError, AttributeError):
+        return data
+    return _entry_text(key, config, result).encode("utf-8")
 
 
 def _temp_file_pid(name: str) -> Optional[int]:
@@ -132,8 +184,7 @@ def _read_pack_index(path: Path) -> Optional[Dict[str, Tuple[int, int]]]:
     """Parse a segment's header line into ``key -> (abs_offset, length)``.
 
     Returns ``None`` when the header is unreadable or from another pack
-    format version — the whole segment then reads as a miss, mirroring
-    how corrupt loose entries behave.
+    format version — the whole segment then reads as a miss.
     """
     try:
         with open(path, "rb") as handle:
@@ -146,6 +197,17 @@ def _read_pack_index(path: Path) -> Optional[Dict[str, Tuple[int, int]]]:
                 for key, span in dict(header["entries"]).items()}
     except (OSError, ValueError, KeyError, TypeError, AttributeError):
         return None
+
+
+def _read_span(path: Path, offset: int, length: int) -> Optional[bytes]:
+    """Read ``length`` bytes at ``offset``; ``None`` if short or gone."""
+    try:
+        with open(path, "rb") as handle:
+            handle.seek(offset)
+            data = handle.read(length)
+    except OSError:
+        return None
+    return data if len(data) == length else None
 
 
 def config_key(config: ScenarioConfig) -> str:
@@ -168,9 +230,7 @@ class ResultCache:
     ----------
     root:
         Directory holding the cache; created (with parents) if missing.
-        Entries live under two-character shard subdirectories
-        (``<root>/ab/abcdef....json``) to keep directories small even for
-        very large grids.
+        Entries live in packed segments under ``<root>/packs/``.
     """
 
     def __init__(self, root: Union[str, os.PathLike]) -> None:
@@ -185,114 +245,92 @@ class ResultCache:
         self.hits: int = 0
         #: Number of failed lookups (absent or unreadable entries).
         self.misses: int = 0
-        #: Cached pack index: (sorted pack paths it was built from, index).
+        #: Cached pack index: (the segments' (name, mtime, size) it was
+        #: built from, index).
         self._pack_cache: Optional[
-            Tuple[Tuple[Path, ...], Dict[str, Tuple[Path, int, int]]]] = None
+            Tuple[Tuple[Tuple[str, int, int], ...],
+                  Dict[str, Tuple[_Location, ...]]]] = None
 
     # ------------------------------------------------------------------ #
-    def _entry_path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+    def _pack_files(self) -> List[Path]:
+        """Every packed segment, sorted by name (one directory listing).
 
-    def path_for(self, config: ScenarioConfig) -> Path:
-        """The on-disk path that does (or would) hold ``config``'s result."""
-        return self._entry_path(config_key(config))
+        Sorted at the source so every consumer (index, stats, verify,
+        prune, gc, merge) walks segments in the same deterministic order
+        on any filesystem.
+        """
+        packs_dir = self.root / "packs"
+        try:
+            names = sorted(entry.name for entry in os.scandir(packs_dir)
+                           if entry.name.endswith(".pack")
+                           and not entry.name.startswith("."))
+        except FileNotFoundError:
+            return []
+        return [packs_dir / name for name in names]
 
-    def __contains__(self, config: ScenarioConfig) -> bool:
-        path = self.path_for(config)
-        return path.is_file() or path.stem in self._pack_index()
+    def _loose_files(self) -> List[Path]:
+        """Loose entry files from the pre-pack layout, in sorted order.
 
-    def _entry_files(self) -> List[Path]:
-        """Every entry file, in sorted order.
-
-        Sorted at the source so every consumer (stats, verify, prune,
-        gc, merge) walks entries in the same deterministic order on any
-        filesystem.
+        Nothing serves them; they exist only to be reported by
+        :meth:`stats`/:meth:`verify` and migrated by :meth:`pack_all`.
         """
         return sorted(self.root.glob("??/*.json"))
 
-    def _pack_files(self) -> List[Path]:
-        """Every packed segment, in sorted order (see :meth:`_entry_files`)."""
-        return sorted(self.root.glob("packs/*.pack"))
+    def _pack_index(self) -> Dict[str, Tuple[_Location, ...]]:
+        """``key -> locations`` across all segments, in segment order.
 
-    def _pack_index(self) -> Dict[str, Tuple[Path, int, int]]:
-        """``key -> (segment_path, offset, length)`` across all segments.
-
-        Rebuilt whenever the set of segment files on disk changes (one
-        header-line read per segment), so batches flushed by concurrent
-        writers — e.g. pool workers mid-sweep — become visible to this
-        reader.  The first segment in sorted order wins duplicate keys,
-        keeping lookups deterministic on any filesystem.
+        Lists ``packs/`` once per call and rebuilds only when a segment
+        appeared, vanished or was rewritten (one header-line read per
+        segment), so batches flushed by concurrent writers — e.g. pool
+        workers mid-sweep — become visible to this reader.  A key may
+        live in several segments (a stale entry and its re-simulated
+        successor); readers take the first location, in sorted segment
+        order, that passes the guards, which keeps lookups deterministic.
         """
-        files = tuple(self._pack_files())
-        if self._pack_cache is not None and self._pack_cache[0] == files:
+        files = self._pack_files()
+        stats: List[Tuple[str, int, int]] = []
+        for path in files:
+            try:
+                stat = os.stat(path)
+            except OSError:  # pragma: no cover - racing deleter
+                continue
+            stats.append((path.name, stat.st_mtime_ns, stat.st_size))
+        signature = tuple(stats)
+        if self._pack_cache is not None and self._pack_cache[0] == signature:
             return self._pack_cache[1]
-        index: Dict[str, Tuple[Path, int, int]] = {}
+        index: Dict[str, Tuple[_Location, ...]] = {}
         for path in files:
             entries = _read_pack_index(path)
             if entries is None:
                 continue
             for key in sorted(entries):
                 offset, length = entries[key]
-                index.setdefault(key, (path, offset, length))
-        self._pack_cache = (files, index)
+                index[key] = index.get(key, ()) + ((path, offset, length),)
+        self._pack_cache = (signature, index)
         return index
 
-    def _read_span(self, path: Path, offset: int, length: int,
-                   ) -> Optional[bytes]:
-        """Read ``length`` bytes at ``offset``; ``None`` if short or gone."""
-        try:
-            with open(path, "rb") as handle:
-                handle.seek(offset)
-                data = handle.read(length)
-        except OSError:
-            return None
-        return data if len(data) == length else None
+    def _logical_entries(self) -> Iterator[Tuple[str, bytes, Path]]:
+        """Yield ``(key, raw_bytes, segment)`` for every packed entry.
 
-    def _packed_entry_bytes(self, key: str) -> Optional[bytes]:
-        """Raw entry bytes for ``key`` from a packed segment, if any."""
-        location = self._pack_index().get(key)
-        if location is None:
-            return None
-        path, offset, length = location
-        return self._read_span(path, offset, length)
-
-    def _entry_bytes(self, key: str) -> Optional[bytes]:
-        """Raw entry bytes for ``key``: loose file first, then segments."""
-        try:
-            return self._entry_path(key).read_bytes()
-        except OSError:
-            return self._packed_entry_bytes(key)
-
-    def _logical_entries(self) -> Iterator[Tuple[str, bytes]]:
-        """Yield ``(key, raw_bytes)`` for every distinct logical entry.
-
-        Loose entries first (sorted), then packed entries (sorted
-        segments, sorted keys), skipping keys already yielded — one
-        deterministic walk shared by merge and maintenance.
+        Sorted segments, sorted keys within each — the one deterministic
+        walk :meth:`merge_from` copies from.
         """
-        seen = set()
-        for path in self._entry_files():
-            try:
-                data = path.read_bytes()
-            except OSError:  # pragma: no cover - racing deleter
+        for pack_path in self._pack_files():
+            index = _read_pack_index(pack_path)
+            if index is None:
                 continue
-            seen.add(path.stem)
-            yield path.stem, data
-        index = self._pack_index()
-        for key in sorted(index):
-            if key in seen:
-                continue
-            data = self._packed_entry_bytes(key)
-            if data is not None:
-                yield key, data
+            for key in sorted(index):
+                data = _read_span(pack_path, *index[key])
+                if data is not None:
+                    yield key, data, pack_path
 
     def temp_files(self) -> List[Path]:
         """Temporary files left behind by in-flight or crashed writers.
 
-        :meth:`put` writes through ``.{key}.{pid}.tmp`` files; a writer
-        that dies between write and rename orphans its temp file.  Reads
-        never touch them (they match no entry path), but they accumulate
-        forever unless swept — see :meth:`sweep_temp_files`.
+        Writers go through ``.{name}.{pid}.tmp`` files; a writer that
+        dies between write and rename orphans its temp file.  Reads
+        never touch them, but they accumulate forever unless swept — see
+        :meth:`sweep_temp_files`.
         """
         return sorted(itertools.chain(self.root.glob(".*.tmp"),
                                       self.root.glob("??/.*.tmp"),
@@ -323,35 +361,40 @@ class ResultCache:
                 pass
         return removed
 
+    def __contains__(self, config: ScenarioConfig) -> bool:
+        return config_key(config) in self._pack_index()
+
     def __len__(self) -> int:
-        keys = {path.stem for path in self._entry_files()}
-        keys.update(self._pack_index())
-        return len(keys)
+        return len(self._pack_index())
 
     # ------------------------------------------------------------------ #
     def get(self, config: ScenarioConfig) -> Optional[ScenarioResult]:
         """The cached result for ``config``, or ``None`` on a miss.
 
         Unreadable, corrupt, or format-incompatible entries count as
-        misses; they are overwritten by the next :meth:`put`.  Loose
-        entry files are consulted first, then packed segments.
+        misses; the next write of the same cell supersedes them.
         """
-        key = config_key(config)
-        try:
-            data = self._entry_bytes(key)
-            if data is None:
-                raise ValueError("absent entry")
-            payload = json.loads(data.decode("utf-8"))
-            if payload.get("version") != CACHE_FORMAT_VERSION:
-                raise ValueError("incompatible cache entry version")
-            if payload.get("repro_version") != __version__:
-                raise ValueError("entry from a different simulator version")
-            result = ScenarioResult.from_dict(payload["result"])
-        except (OSError, ValueError, KeyError, TypeError):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return result
+        return self._get(config_key(config), self._pack_index())
+
+    def _get(self, key: str, index: Dict[str, Tuple[_Location, ...]],
+             ) -> Optional[ScenarioResult]:
+        for location in index.get(key, ()):
+            data = _read_span(*location)
+            try:
+                if data is None:
+                    raise ValueError("truncated entry")
+                payload = json.loads(data.decode("utf-8"))
+                if payload.get("version") != CACHE_FORMAT_VERSION:
+                    raise ValueError("incompatible cache entry version")
+                if payload.get("repro_version") != __version__:
+                    raise ValueError("entry from a different simulator version")
+                result = ScenarioResult.from_dict(payload["result"])
+            except (ValueError, KeyError, TypeError, AttributeError):
+                continue
+            self.hits += 1
+            return result
+        self.misses += 1
+        return None
 
     def has_current(self, config: ScenarioConfig) -> bool:
         """Whether a valid, current-version entry for ``config`` exists.
@@ -364,48 +407,16 @@ class ResultCache:
 
         Cost is O(1)-ish, not O(entry size): the probe reads a small
         bounded head and byte-compares it against the exact
-        :func:`_entry_header` prefix :meth:`put` writes, so a multi-MB
-        ``result`` payload is never read, let alone parsed.  Entries
-        written before the header layout fall back to the full parse
-        with identical guard semantics.
+        :func:`_entry_header` prefix every entry is written with, so a
+        multi-MB ``result`` payload is never read, let alone parsed.
         """
-        path = self.path_for(config)
-        key = path.stem
-        try:
-            with open(path, encoding="utf-8") as handle:
-                head = handle.read(_PROBE_HEADER_BYTES)
-        except (OSError, ValueError):
-            return self._packed_has_current(key)
-        if head.startswith(_entry_header(key)):
-            return True
-        # Legacy (pre-header) entries start straight into the sorted-key
-        # body; give them the original whole-file check.
-        try:
-            payload = json.loads(head if len(head) < _PROBE_HEADER_BYTES
-                                 else path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return False
-        return (isinstance(payload, dict)
-                and payload.get("version") == CACHE_FORMAT_VERSION
-                and payload.get("repro_version") == __version__
-                and "result" in payload)
-
-    def _packed_has_current(self, key: str) -> bool:
-        """Header probe for a packed entry.
-
-        Same bounded-read guard as the loose probe; packed entries are
-        always written with the :func:`_entry_header` prefix, so there
-        is no legacy fallback to consider.
-        """
-        location = self._pack_index().get(key)
-        if location is None:
-            return False
-        path, offset, length = location
-        head = self._read_span(path, offset,
-                               min(length, _PROBE_HEADER_BYTES))
-        if head is None:
-            return False
-        return head.startswith(_entry_header(key).encode("utf-8"))
+        key = config_key(config)
+        header = _entry_header(key).encode("utf-8")
+        for path, offset, length in self._pack_index().get(key, ()):
+            head = _read_span(path, offset, min(length, _PROBE_HEADER_BYTES))
+            if head is not None and head.startswith(header):
+                return True
+        return False
 
     def lookup(self, configs: Sequence[ScenarioConfig],
                ) -> Tuple[Dict[int, ScenarioResult], List[int]]:
@@ -414,81 +425,42 @@ class ResultCache:
         Returns ``(hits, misses)`` where ``hits`` maps positions in
         ``configs`` to their cached results (in position order) and
         ``misses`` lists the positions that must be simulated.  This is
-        the primitive behind cache-aware scheduling: executors serve the
-        hits immediately and only dispatch the misses.
+        the primitive behind cache-aware scheduling: the executor serves
+        the hits immediately and only simulates the misses.  The
+        ``packs/`` directory is listed once for the whole batch.
         """
+        index = self._pack_index()
         hits: Dict[int, ScenarioResult] = {}
         misses: List[int] = []
-        for index, config in enumerate(configs):
-            result = self.get(config)
+        for position, config in enumerate(configs):
+            result = self._get(config_key(config), index)
             if result is None:
-                misses.append(index)
+                misses.append(position)
             else:
-                hits[index] = result
+                hits[position] = result
         return hits, misses
 
     def put(self, config: ScenarioConfig, result: ScenarioResult) -> Path:
-        """Store ``result`` for ``config``; returns the entry path.
-
-        The write is atomic (temp file + ``os.replace``), so concurrent
-        writers — e.g. two parallel sweeps sharing a cache directory —
-        can only race to write identical content.
-
-        Entries are one JSON object whose first bytes are the fixed
-        :func:`_entry_header` guard prefix (format version, key, repro
-        version), followed by the sorted-key body.  Readers that need
-        the payload (:meth:`get`) parse the whole object as before;
-        :meth:`has_current` validates entries from the header alone.
-        """
-        key = config_key(config)
-        path = self._entry_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.parent / f".{key}.{os.getpid()}.tmp"
-        tmp.write_text(self._entry_text(key, config, result),
-                       encoding="utf-8")
-        os.replace(tmp, path)
-        return path
-
-    def _entry_text(self, key: str, config: ScenarioConfig,
-                    result: ScenarioResult) -> str:
-        """The exact on-disk text of an entry — shared by both layouts.
-
-        One serializer guarantees a packed entry is byte-identical to
-        the loose file :meth:`put` would have written for the same pair.
-        """
-        body = json.dumps({
-            "version": CACHE_FORMAT_VERSION,
-            "repro_version": __version__,
-            "key": key,
-            "config": config.to_dict(),
-            "result": result.to_dict(),
-        }, sort_keys=True)
-        return _entry_header(key) + body[1:]
+        """Store one result; returns its segment (a pack of one)."""
+        return self.put_many([(config, result)])
 
     def put_many(self, items: Sequence[Tuple[ScenarioConfig,
                                              ScenarioResult]],
-                 pack: bool = False) -> List[Path]:
-        """Store a batch of results; returns the file(s) written.
+                 ) -> Path:
+        """Store a batch of results as one packed segment; returns it.
 
-        With ``pack=False`` this is a convenience loop over :meth:`put`
-        (one atomic file per entry).  With ``pack=True`` the whole batch
-        becomes one packed segment under ``<root>/packs/``, durably
-        written with a single fsync — the fast path for many small
-        entries, where per-entry write+rename dominates cache write
-        cost.  Packed entry bytes are identical to their loose form, so
-        every reader (:meth:`get`, :meth:`has_current`, verify, prune,
-        gc, merge) sees one logical namespace across both layouts.
+        The whole batch lands under ``<root>/packs/`` durably with a
+        single fsync — per-entry write+rename would otherwise dominate
+        cache write cost for many small entries.
         """
         if not items:
-            return []
-        if not pack:
-            return [self.put(config, result) for config, result in items]
+            raise ValueError("put_many needs at least one entry")
         entries: List[Tuple[str, bytes]] = []
         for config, result in items:
             key = config_key(config)
             entries.append(
-                (key, self._entry_text(key, config, result).encode("utf-8")))
-        return [self._write_pack(entries)]
+                (key, _entry_text(key, config, result).encode("utf-8")))
+        return self._write_pack(entries)
 
     def _write_pack(self, entries: Sequence[Tuple[str, bytes]]) -> Path:
         """Durably write one packed segment (temp + fsync + rename)."""
@@ -507,14 +479,16 @@ class ResultCache:
         return target
 
     def pack_all(self, batch_size: int = PACK_BATCH_SIZE) -> Tuple[int, int]:
-        """Consolidate loose entry files into packed segments.
+        """Migrate loose entry files into packed segments (one-time).
 
-        Entry bytes are moved verbatim (stale entries stay stale, keys
-        and guards unchanged) in batches of ``batch_size`` per segment;
-        each loose file is deleted once its segment is durable.  Returns
+        Entries keep their keys and guards: see :func:`_migrated_entry`
+        for how pre-header entries are re-emitted.  Each loose file is
+        deleted once its segment is durable.  Returns
         ``(segments_written, entries_packed)``.
         """
-        loose = self._entry_files()
+        if batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
+        loose = self._loose_files()
         segments = packed = 0
         for start in range(0, len(loose), batch_size):
             batch: List[Tuple[str, bytes]] = []
@@ -524,7 +498,7 @@ class ResultCache:
                     data = path.read_bytes()
                 except OSError:  # pragma: no cover - racing deleter
                     continue
-                batch.append((path.stem, data))
+                batch.append((path.stem, _migrated_entry(path.stem, data)))
                 sources.append(path)
             if not batch:
                 continue
@@ -538,48 +512,9 @@ class ResultCache:
                     pass
         return segments, packed
 
-    def unpack_all(self) -> Tuple[int, int]:
-        """Explode packed segments back into loose entry files.
-
-        An existing loose entry wins over a packed duplicate (it can
-        only be the same bytes or newer).  Segments with unreadable
-        headers are left in place for :meth:`verify`/:meth:`prune` to
-        report.  Returns ``(segments_removed, entries_unpacked)``.
-        """
-        segments = entries_out = 0
-        for pack_path in self._pack_files():
-            index = _read_pack_index(pack_path)
-            if index is None:
-                continue
-            for key in sorted(index):
-                offset, length = index[key]
-                data = self._read_span(pack_path, offset, length)
-                if data is None:
-                    continue
-                dst = self._entry_path(key)
-                if dst.is_file():
-                    continue
-                dst.parent.mkdir(parents=True, exist_ok=True)
-                tmp = dst.parent / f".{key}.{os.getpid()}.tmp"
-                tmp.write_bytes(data)
-                os.replace(tmp, dst)
-                entries_out += 1
-            try:
-                pack_path.unlink()
-                segments += 1
-            except OSError:  # pragma: no cover - racing deleter
-                pass
-        return segments, entries_out
-
     def clear(self) -> int:
         """Delete every entry; returns the number of entries removed."""
         removed = 0
-        for entry in list(self._entry_files()):
-            try:
-                entry.unlink()
-                removed += 1
-            except OSError:  # pragma: no cover - racing deleter
-                pass
         for pack_path in self._pack_files():
             index = _read_pack_index(pack_path)
             try:
@@ -596,23 +531,11 @@ class ResultCache:
         """Shallow inventory: entry/byte counts per recorded repro version.
 
         Entries are only read far enough to extract their version stamps;
-        unparseable files are counted as ``unreadable`` rather than
+        unparseable ones are counted as ``unreadable`` rather than
         raised.  Use :meth:`verify` for the deep (re-hash) check.
         """
         by_version: Dict[str, int] = {}
-        entries = unreadable = 0
-        total_bytes = 0
-        for path in self._entry_files():
-            entries += 1
-            try:
-                total_bytes += path.stat().st_size
-                payload = json.loads(path.read_text(encoding="utf-8"))
-                version = str(payload.get("repro_version"))
-            except (OSError, ValueError):
-                unreadable += 1
-                continue
-            by_version[version] = by_version.get(version, 0) + 1
-        packs = packed_entries = 0
+        packs = entries = unreadable = total_bytes = 0
         for pack_path in self._pack_files():
             packs += 1
             try:
@@ -625,9 +548,7 @@ class ResultCache:
                 continue
             for key in sorted(index):
                 entries += 1
-                packed_entries += 1
-                offset, length = index[key]
-                data = self._read_span(pack_path, offset, length)
+                data = _read_span(pack_path, *index[key])
                 try:
                     if data is None:
                         raise ValueError("truncated packed entry")
@@ -641,33 +562,24 @@ class ResultCache:
                           total_bytes=total_bytes, unreadable=unreadable,
                           temp_files=len(self.temp_files()),
                           by_version=dict(sorted(by_version.items())),
-                          current_version=__version__,
-                          packs=packs, packed_entries=packed_entries)
+                          current_version=__version__, packs=packs,
+                          loose_files=[str(path.relative_to(self.root))
+                                       for path in self._loose_files()])
 
     def verify(self) -> List["CacheProblem"]:
         """Deep integrity check of every entry; returns found problems.
 
-        For each entry: the JSON must parse, the recorded key must match
-        the filename (or packed-index key), and — for entries stamped
-        with the *current* repro version — the stored config must
-        rebuild and re-hash to that same key.  Entries from other
-        versions are reported as ``stale`` (they are well-formed misses,
-        prunable but not corrupt).  Packed segments are checked entry by
-        entry; a problem inside a segment carries the offending ``key``
-        so :meth:`prune` can drop just that entry.
+        For each packed entry: the JSON must parse, the recorded key
+        must match the index key, and — for entries stamped with the
+        *current* repro version — the stored config must rebuild and
+        re-hash to that same key.  Entries from other versions are
+        reported as ``stale`` (well-formed misses, prunable but not
+        corrupt).  A problem inside a segment carries the offending
+        ``key`` so :meth:`prune` can drop just that entry.  Every loose
+        file is reported as ``loose``: it is never served until
+        :meth:`pack_all` migrates it.
         """
         problems: List[CacheProblem] = []
-        for path in self._entry_files():
-            name_key = path.stem
-            try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, ValueError) as exc:
-                problems.append(CacheProblem(path, "corrupt",
-                                             f"unreadable JSON: {exc}"))
-                continue
-            found = self._verify_payload(payload, name_key)
-            if found is not None:
-                problems.append(CacheProblem(path, found[0], found[1]))
         for pack_path in self._pack_files():
             index = _read_pack_index(pack_path)
             if index is None:
@@ -675,44 +587,36 @@ class ResultCache:
                     pack_path, "corrupt", "unreadable pack header"))
                 continue
             for key in sorted(index):
-                offset, length = index[key]
-                data = self._read_span(pack_path, offset, length)
-                if data is None:
-                    problems.append(CacheProblem(
-                        pack_path, "corrupt",
-                        f"entry {key[:12]}… spans past end of segment",
-                        key=key))
-                    continue
-                try:
-                    payload = json.loads(data.decode("utf-8"))
-                except ValueError as exc:
-                    problems.append(CacheProblem(
-                        pack_path, "corrupt",
-                        f"entry {key[:12]}…: unreadable JSON: {exc}",
-                        key=key))
-                    continue
-                found = self._verify_payload(payload, key)
+                found = self._verify_entry(
+                    key, _read_span(pack_path, *index[key]))
                 if found is not None:
                     problems.append(CacheProblem(
                         pack_path, found[0],
                         f"entry {key[:12]}…: {found[1]}", key=key))
+        for path in self._loose_files():
+            problems.append(CacheProblem(
+                path, "loose", "loose entry file is not served; run "
+                f"`repro-cache pack {self.root}` to migrate it"))
         return problems
 
-    def _verify_payload(self, payload: object, name_key: str,
-                        ) -> Optional[Tuple[str, str]]:
-        """The per-entry integrity checks shared by both layouts.
-
-        Returns ``(kind, detail)`` for a defective entry, ``None`` when
-        the entry is sound.
-        """
+    @staticmethod
+    def _verify_entry(key: str, data: Optional[bytes],
+                      ) -> Optional[Tuple[str, str]]:
+        """``(kind, detail)`` for a defective entry, ``None`` if sound."""
+        if data is None:
+            return "corrupt", "spans past end of segment"
+        try:
+            payload = json.loads(data.decode("utf-8"))
+        except ValueError as exc:
+            return "corrupt", f"unreadable JSON: {exc}"
         if not isinstance(payload, dict):
             return "corrupt", "entry is not a JSON object"
         if payload.get("version") != CACHE_FORMAT_VERSION:
             return ("stale", f"cache format "
                     f"{payload.get('version')!r} != {CACHE_FORMAT_VERSION}")
-        if payload.get("key") != name_key:
+        if payload.get("key") != key:
             return ("corrupt", f"recorded key {payload.get('key')!r} "
-                    f"does not match filename")
+                    f"does not match the index key")
         if payload.get("repro_version") != __version__:
             return ("stale", f"repro "
                     f"{payload.get('repro_version')!r} != {__version__}")
@@ -721,7 +625,7 @@ class ResultCache:
             ScenarioResult.from_dict(payload["result"])
         except (ValueError, KeyError, TypeError) as exc:
             return "corrupt", f"entry does not deserialize: {exc}"
-        if config_key(config) != name_key:
+        if config_key(config) != key:
             return ("corrupt", "stored config re-hashes to "
                     f"{config_key(config)[:12]}…, not the entry key")
         return None
@@ -732,29 +636,28 @@ class ResultCache:
 
         After a prune, every remaining entry is a servable hit for the
         current ``repro`` version.  With ``dry_run`` nothing is deleted;
-        the report shows what *would* go.  A defective entry inside a
-        packed segment is dropped by rewriting the segment with only its
-        sound entries (the segment itself goes when none survive or its
-        header is unreadable).
+        the report shows what *would* go.  A defective entry is dropped
+        by rewriting its segment with only the sound entries (the
+        segment itself goes when none survive or its header is
+        unreadable).  Loose files are reported but never deleted:
+        :meth:`pack_all` can still migrate them.
         """
         problems = self.verify()
         removed_corrupt = removed_stale = 0
-        pack_drops: Dict[Path, List[str]] = {}
+        drops: Dict[Path, List[str]] = {}
         for problem in problems:
+            if problem.kind == "loose":
+                continue
+            drops.setdefault(problem.path, [])
             if problem.key is not None:
-                pack_drops.setdefault(problem.path, []).append(problem.key)
-            elif not dry_run:
-                try:
-                    problem.path.unlink()
-                except OSError:  # pragma: no cover - racing deleter
-                    continue
+                drops[problem.path].append(problem.key)
             if problem.kind == "corrupt":
                 removed_corrupt += 1
             else:
                 removed_stale += 1
         if not dry_run:
-            for pack_path in sorted(pack_drops):
-                self._rewrite_pack(pack_path, set(pack_drops[pack_path]))
+            for pack_path in sorted(drops):
+                self._rewrite_pack(pack_path, set(drops[pack_path]))
         temps = self.temp_files()
         if dry_run:
             cutoff = time.time() - temp_min_age_seconds  # repro-lint: ignore[D-wallclock] mtime GC only
@@ -780,8 +683,7 @@ class ResultCache:
             for key in sorted(index):
                 if key in drop_keys:
                     continue
-                offset, length = index[key]
-                data = self._read_span(pack_path, offset, length)
+                data = _read_span(pack_path, *index[key])
                 if data is not None:
                     survivors.append((key, data))
         replacement: Optional[Path] = None
@@ -796,19 +698,19 @@ class ResultCache:
     def gc(self, max_age_seconds: Optional[float] = None,
            max_total_bytes: Optional[int] = None,
            dry_run: bool = False) -> List[Path]:
-        """Expire entries by age and/or shrink the cache to a byte budget.
+        """Expire segments by age and/or shrink the cache to a byte budget.
 
-        ``max_age_seconds`` drops entries whose mtime is older; after
-        that, ``max_total_bytes`` drops the *oldest* surviving entries
-        until the remainder fits.  A packed segment ages and is dropped
-        as one unit (its entries were written in one batch and share a
-        mtime anyway).  Returns the (would-be) deleted paths.
+        ``max_age_seconds`` drops segments whose mtime is older; after
+        that, ``max_total_bytes`` drops the *oldest* surviving segments
+        until the remainder fits.  A segment ages and is dropped as one
+        unit (its entries were written in one batch).  Returns the
+        (would-be) deleted paths.
         """
         if max_age_seconds is None and max_total_bytes is None:
             raise ValueError("gc needs max_age_seconds and/or max_total_bytes")
         now = time.time()  # repro-lint: ignore[D-wallclock] entry-age GC, never a result input
         entries: List[Tuple[float, int, Path]] = []
-        for path in itertools.chain(self._entry_files(), self._pack_files()):
+        for path in self._pack_files():
             try:
                 stat = path.stat()
             except OSError:  # pragma: no cover - racing deleter
@@ -839,17 +741,16 @@ class ResultCache:
 
     def merge_from(self, source: Union["ResultCache", str, os.PathLike],
                    ) -> "MergeStats":
-        """Copy every entry of ``source`` into this cache.
+        """Copy every entry of ``source`` into this cache, as packs.
 
         This is how sharded sweeps come back together: each shard runs
         against its own cache root, then the roots are merged into one.
         Entries are content-addressed, so a same-key collision should
         carry identical bytes; when it does not (``conflicts``), the
         existing destination entry is kept and the difference reported
-        rather than silently overwritten.  Source entries inside packed
-        segments are merged too (they land as loose files — re-pack the
-        destination with ``pack_all`` if desired); orphan temp files in
-        the source are never copied.
+        rather than silently overwritten.  New entries land in packed
+        segments of :data:`PACK_BATCH_SIZE`; orphan temp files in the
+        source are never copied.
         """
         if not isinstance(source, ResultCache):
             # Unlike the constructor (which creates missing roots), a merge
@@ -862,24 +763,28 @@ class ResultCache:
             source = ResultCache(source)
         if source.root.resolve() == self.root.resolve():
             raise ValueError("cannot merge a cache into itself")
-        copied = identical = conflicts = 0
+        index = self._pack_index()
+        incoming: Dict[str, bytes] = {}
+        identical = conflicts = 0
         conflict_paths: List[Path] = []
-        for key, data in source._logical_entries():
-            dst_path = self._entry_path(key)
-            existing = self._entry_bytes(key)
-            if existing is not None:
-                if existing == data:
-                    identical += 1
-                else:
-                    conflicts += 1
-                    conflict_paths.append(dst_path)
-                continue
-            dst_path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = dst_path.parent / f".{dst_path.stem}.{os.getpid()}.tmp"
-            tmp.write_bytes(data)
-            os.replace(tmp, dst_path)
-            copied += 1
-        return MergeStats(copied=copied, identical=identical,
+        for key, data, path in source._logical_entries():
+            existing = [_read_span(*location)
+                        for location in index.get(key, ())]
+            if key in incoming:
+                existing.append(incoming[key])
+            if data in existing:
+                identical += 1
+            elif existing:
+                # Keep what is already here (or was copied first).
+                conflicts += 1
+                conflict_paths.append(index[key][0][0] if key in index
+                                      else path)
+            else:
+                incoming[key] = data
+        entries = sorted(incoming.items())
+        for start in range(0, len(entries), PACK_BATCH_SIZE):
+            self._write_pack(entries[start:start + PACK_BATCH_SIZE])
+        return MergeStats(copied=len(incoming), identical=identical,
                           conflicts=conflicts, conflict_paths=conflict_paths)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
@@ -904,8 +809,8 @@ class CacheStats:
     current_version: str
     #: Packed segment files under ``<root>/packs/``.
     packs: int = 0
-    #: Logical entries living inside packed segments (subset of ``entries``).
-    packed_entries: int = 0
+    #: Loose entry files (relative paths) awaiting ``repro-cache pack``.
+    loose_files: List[str] = dataclasses.field(default_factory=list)
 
     @property
     def current(self) -> int:
@@ -917,8 +822,9 @@ class CacheStats:
 class CacheProblem:
     """One defective cache entry found by :meth:`ResultCache.verify`.
 
-    ``kind`` is ``"corrupt"`` (unreadable, mis-keyed, or undeserializable)
-    or ``"stale"`` (well-formed but from another format/repro version).
+    ``kind`` is ``"corrupt"`` (unreadable, mis-keyed, or undeserializable),
+    ``"stale"`` (well-formed but from another format/repro version) or
+    ``"loose"`` (a pre-pack entry file awaiting ``repro-cache pack``).
     ``key`` is set when the defect is one entry *inside* a packed
     segment — ``path`` is then the segment file, and prune drops just
     that entry by rewriting the segment.

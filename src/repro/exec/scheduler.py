@@ -1,72 +1,64 @@
-"""Streaming shard scheduler: cluster-style sweeps with rebalancing.
+"""The executor: run scenario configs in-process or on a warm worker pool.
 
-:class:`ClusterExecutor` (alias :class:`ShardScheduler`) runs a full
-:class:`~repro.experiments.sweep.SweepSettings` grid the way a cluster
-controller would, while staying a single ~local process tree:
+:class:`ClusterExecutor` is the one way cells execute.  Sweeps, figures,
+ablations, Table I, single scenarios, shards and campaigns all call
+:meth:`ClusterExecutor.run` (configs in, results out **in input order**)
+or :meth:`ClusterExecutor.run_sweep` (a whole grid, assembled through
+:meth:`run`).  A run goes through these steps:
 
-1. **Cache-aware pre-filter.**  Every grid cell already present in the
-   (merged) :class:`~repro.exec.cache.ResultCache` is served from disk
-   up front (:meth:`ResultCache.lookup`); only the misses are scheduled.
-   A fully warm cache therefore dispatches no workers and runs zero
-   simulations.
-2. **Plan.**  The remaining cells are partitioned into work units by
-   hashing their cache keys — the same coordination-free split as
-   :func:`~repro.exec.shard.plan_shards`, so on a cold cache the first
-   round's plan is exactly the K-machine ``--shard i/K`` plan.
-3. **Dispatch & stream.**  Units are dispatched to a persistent
-   :class:`WorkerPool`: worker processes spawn once (fork-preferred, so
-   the parent's warm imports carry over; spawn falls back to a
-   ``sys.path`` bootstrap), then survive across scheduling rounds *and*
-   across sweeps — a campaign reuses the same warm pool for every
-   entry.  The wire is cell-granular: a worker emits each completed
-   cell as its own length-prefixed JSON frame over the
-   :mod:`multiprocessing.connection` channel, and the scheduler feeds
-   :class:`~repro.exec.shard.ShardMerger` frame by frame — lower
-   memory than whole-shard artifacts, faster failure detection, and
-   byte-identical merge order (assembly is canonical regardless of
-   arrival order).  Workers batch their cache writes through
-   :meth:`ResultCache.put_many` (packed segments by default), flushing
-   every ``flush_cells`` cells and at unit end.
+1. **Cache-aware pre-filter.**  Every config already present in the
+   :class:`~repro.exec.cache.ResultCache` is served from disk up front
+   (:meth:`ResultCache.lookup`); only the misses are simulated.  A fully
+   warm cache therefore starts no process and runs zero simulations.
+2. **In-process path (``shards=1``, the default).**  The misses run one
+   after another in this process.  Cache writes are batched through
+   :meth:`ResultCache.put_many` every :data:`FLUSH_CELLS` cells and at
+   the end, exactly like a pool worker's.
+3. **Pool path (``shards=K>1``).**  The misses are partitioned into at
+   most K work units by hashing their cache keys — the same
+   coordination-free split as :func:`~repro.exec.shard.plan_shards` —
+   and dispatched to a persistent :class:`WorkerPool`: worker processes
+   spawn once (fork-preferred, so the parent's warm imports carry over;
+   spawn falls back to a ``sys.path`` bootstrap), then survive across
+   scheduling rounds *and* across runs — a campaign reuses the same warm
+   pool for every entry.  A unit carries its configs as JSON dicts with
+   their input positions; the worker streams each completed cell back
+   as its own length-prefixed JSON frame over the
+   :mod:`multiprocessing.connection` channel and batches its cache
+   writes like the in-process path.
 4. **Rebalance.**  When a worker dies mid-unit (crash, kill, or an
    injected fault), the cells it already streamed are kept, the
-   scheduler sweeps the dead writer's orphaned cache temp files,
+   executor sweeps the dead writer's orphaned cache temp files,
    re-filters the missing cells against the cache — cells the worker
    flushed before dying are recovered for free — and re-plans only the
-   genuinely lost cells, up to ``max_retries`` extra rounds.
-   Rebalancing reuses surviving warm workers from the pool rather than
-   relaunching everything.
+   genuinely lost cells, up to ``max_retries`` extra rounds, on the
+   surviving warm workers.
 
-The scheduled sweep is **bit-for-bit identical** to a serial
-:func:`~repro.experiments.sweep.run_speed_sweep`: every cell simulation
-is deterministic given its config, results cross process boundaries as
-canonical JSON (a lossless round trip), and assembly goes through the
-shared :func:`~repro.exec.shard.assemble_sweep_result` path regardless
-of which workers crashed, which cells were replayed from cache, or what
-order artifacts streamed back.  The local process transport is
-deliberately thin: a remote backend only needs to move the same two JSON
-payloads over a different wire.
+Results are **bit-for-bit identical** whatever the path: every cell
+simulation is deterministic given its config, results cross process
+boundaries as canonical JSON (a lossless round trip), and results are
+returned in input order regardless of which workers crashed, which cells
+were replayed from cache, or what order frames streamed back.
 
-Fault injection (tests / CI) is deterministic: a
-:class:`FaultInjection` names a scheduling round and work unit, and the
-worker kills its own process (``os._exit``) after the given number of
-completed cells — after the cell's batched cache write is flushed,
-before that cell's frame is sent, exactly like a machine lost mid-unit
-(the scheduler recovers the flushed cell from the cache next round).  A
-``mode="hang"`` fault instead wedges the worker (alive, no progress),
-which the per-worker ``worker_timeout`` heartbeat detects: the wedged
-process is terminated and its unit rebalanced like any other failure.
+Fault injection (tests / CI) is deterministic: a :class:`FaultInjection`
+names a scheduling round and work unit, and the worker kills its own
+process (``os._exit``) after the given number of completed cells —
+after the cell's batched cache write is flushed, before that cell's
+frame is sent, exactly like a machine lost mid-unit (the executor
+recovers the flushed cell from the cache next round).  A ``mode="hang"``
+fault instead wedges the worker (alive, no progress), which the
+per-worker ``worker_timeout`` heartbeat detects: the wedged process is
+terminated and its unit rebalanced like any other failure.
 
 Per-stage wall-time counters (``stage_seconds``: spawn / serialize /
-simulate / stream / merge / cache_write / lookup) expose where a sweep's
+simulate / stream / merge / cache_write / lookup) expose where a run's
 time went; ``repro-sweep``/``repro-campaign`` print them and the
 orchestration bench profile records them.
-
-This module imports the sweep layer lazily inside functions (same
-circular-import idiom as :mod:`repro.exec.shard`).
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import multiprocessing
@@ -82,13 +74,17 @@ from typing import (
 )
 
 from repro.exec.cache import ResultCache
-from repro.exec.executor import simulate
-from repro.exec.shard import ShardMerger, shard_of_config
+from repro.exec.shard import assemble_sweep_result, shard_of_config
+from repro.scenario.builder import ScenarioBuilder
 from repro.scenario.config import ScenarioConfig
 from repro.scenario.results import ScenarioResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.sweep import SweepResult, SweepSettings
+
+#: Signature of the per-config progress callback: ``(index, config,
+#: result)`` where ``index`` is the position in the submitted sequence.
+ProgressCallback = Callable[[int, ScenarioConfig, ScenarioResult], None]
 
 #: Signature of the sweep-level progress callback (matches
 #: :func:`~repro.experiments.sweep.run_speed_sweep`):
@@ -96,8 +92,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 SweepProgress = Callable[[str, float, int, ScenarioResult], None]
 
 #: Exit code used by an injected worker fault (``os._exit``); purely
-#: informational — the scheduler treats any worker that dies before
-#: sending its artifact as failed, whatever the exit code.
+#: informational — the executor treats any worker that dies before
+#: finishing its unit as failed, whatever the exit code.
 FAULT_EXIT_CODE = 73
 
 #: Minimum age before a temp file not written by one of this run's dead
@@ -106,12 +102,12 @@ FAULT_EXIT_CODE = 73
 #: an hour; a file this old belongs to a writer that is long gone.
 STRAY_TEMP_MIN_AGE_SECONDS = 3600.0
 
-#: Completed cells a worker buffers before flushing one batched cache
-#: write (:meth:`ResultCache.put_many`).  The fault path and unit end
-#: always flush, so at most ``flush_cells - 1`` *streamed-and-merged*
-#: cells are ever pending a write — and those are already safe in the
-#: scheduler's merger.
-DEFAULT_FLUSH_CELLS = 8
+#: Completed cells buffered before one batched cache write
+#: (:meth:`ResultCache.put_many`).  The end of a run or unit and the
+#: fault path always flush, so at most ``FLUSH_CELLS - 1`` completed
+#: cells are ever pending a write — and those are already held by the
+#: executor.
+FLUSH_CELLS = 8
 
 #: Grace period for a retiring pool worker to exit cleanly before it is
 #: terminated.
@@ -122,13 +118,18 @@ STAGE_NAMES = ("spawn", "serialize", "simulate", "stream", "merge",
                "cache_write", "lookup")
 
 
+def simulate(config: ScenarioConfig) -> ScenarioResult:
+    """Build and run one scenario (the unit of work the executor runs)."""
+    return ScenarioBuilder(config).build().run()
+
+
 class SchedulerError(RuntimeError):
-    """Raised when the grid cannot be completed within ``max_retries``."""
+    """Raised when the cells cannot be completed within ``max_retries``."""
 
 
 @dataclasses.dataclass(frozen=True)
 class FaultInjection:
-    """Deterministic kill- or hang-after-N-cells knob for scheduler workers.
+    """Deterministic kill- or hang-after-N-cells knob for pool workers.
 
     With ``mode="kill"`` (the default) the worker running work unit
     ``unit`` of scheduling round ``round`` kills its own process once
@@ -199,11 +200,10 @@ def _pool_worker_main(conn: Connection, src_root: str) -> None:
     worker idles on the duplex channel and runs every unit it is handed
     with warm imports.  EOF on the channel or an ``{"op": "exit"}``
     frame ends the loop; an unexpected exception kills the process,
-    which the scheduler observes as a mid-unit crash.
+    which the executor observes as a mid-unit crash.
     """
     if src_root not in sys.path:  # pragma: no cover - spawn start only
         sys.path.insert(0, src_root)
-    import repro.experiments.sweep  # noqa: F401  (preload the sweep stack)
     while True:
         try:
             raw = conn.recv_bytes()
@@ -219,27 +219,19 @@ def _pool_worker_main(conn: Connection, src_root: str) -> None:
 def _run_pool_unit(conn: Connection, payload: Dict[str, Any]) -> None:
     """Run one work unit: one result frame per cell, batched cache I/O.
 
-    The payload carries the sweep settings, the unit's canonical grid
-    indices, the shared cache root, the cache batching knobs
-    (``flush_cells``/``pack``), and the optional fault-injection hook.
-    Completed cells stream back immediately as individual frames;
-    cache writes are buffered and flushed through
-    :meth:`ResultCache.put_many` every ``flush_cells`` cells and at
-    unit end.  A fault flushes the batch *first* and withholds the
-    fatal cell's frame, so an injected kill leaves exactly the on-disk
-    state of a real crash-after-write — the scheduler recovers that
-    cell from the cache next round.
+    The payload carries the unit's ``[position, config dict]`` pairs,
+    the shared cache root and the optional fault-injection hook.
+    Completed cells stream back immediately as individual frames; cache
+    writes are flushed through :meth:`ResultCache.put_many` every
+    :data:`FLUSH_CELLS` cells and at unit end.  A fault flushes the
+    batch *first* and withholds the fatal cell's frame, so an injected
+    kill leaves exactly the on-disk state of a real crash-after-write —
+    the executor recovers that cell from the cache next round.
     """
-    from repro.experiments.sweep import SweepSettings
-    settings = SweepSettings.from_dict(payload["settings"])
-    indices = [int(index) for index in payload["cells"]]
+    cells = [(int(position), ScenarioConfig.from_dict(config))
+             for position, config in payload["cells"]]
     fail_after = payload.get("fail_after_cells")
     fail_mode = payload.get("fail_mode", "kill")
-    flush_cells = max(1, int(payload.get("flush_cells")
-                             or DEFAULT_FLUSH_CELLS))
-    pack = bool(payload.get("pack", True))
-    grid = settings.grid()
-    configs = [settings.cell_config(*grid[index]) for index in indices]
     cache = ResultCache(str(payload["cache_root"]))
 
     batch: List[Tuple[ScenarioConfig, ScenarioResult]] = []
@@ -250,30 +242,29 @@ def _run_pool_unit(conn: Connection, payload: Dict[str, Any]) -> None:
         if not batch:
             return
         started = time.perf_counter()  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
-        cache.put_many(batch, pack=pack)
+        cache.put_many(batch)
         cache_write_s += time.perf_counter() - started  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
         batch.clear()
 
-    for position, config in enumerate(configs):
+    for completed, (position, config) in enumerate(cells, start=1):
         started = time.perf_counter()  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
         result = simulate(config)
         sim_s = time.perf_counter() - started  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
         batch.append((config, result))
-        if fail_after is not None and position + 1 >= int(fail_after):
+        if fail_after is not None and completed >= int(fail_after):
             flush()
             if fail_mode == "hang":
                 # Alive but wedged: hold the channel open and make no
-                # progress — only the scheduler's worker timeout can
+                # progress — only the executor's worker timeout can
                 # recover the round (the process is terminated then).
                 while True:
                     time.sleep(3600.0)
             conn.close()
             os._exit(FAULT_EXIT_CODE)
-        frame = json.dumps({"cell": indices[position],
-                            "result": result.to_dict(),
+        frame = json.dumps({"cell": position, "result": result.to_dict(),
                             "sim_s": sim_s}, sort_keys=True)
         conn.send_bytes(frame.encode("utf-8"))
-        if len(batch) >= flush_cells:
+        if len(batch) >= FLUSH_CELLS:
             flush()
     flush()
     done = json.dumps({"done": payload["unit_index"],
@@ -290,7 +281,7 @@ class _WorkerHandle:
 
 
 class WorkerPool:
-    """Persistent scheduler worker processes, reused across dispatches.
+    """Persistent worker processes, reused across dispatches.
 
     Workers run :func:`_pool_worker_main`: spawn once, import once, then
     idle between work units.  The pool prefers the ``fork`` start method
@@ -306,15 +297,10 @@ class WorkerPool:
     ``workers_reused`` count those decisions for instrumentation.
     """
 
-    def __init__(self, mp_context: Union[
-            str, multiprocessing.context.BaseContext, None] = None) -> None:
-        if mp_context is None:
-            methods = multiprocessing.get_all_start_methods()
-            mp_context = multiprocessing.get_context(
-                "fork" if "fork" in methods else None)
-        elif isinstance(mp_context, str):
-            mp_context = multiprocessing.get_context(mp_context)
-        self._context = mp_context
+    def __init__(self) -> None:
+        methods = multiprocessing.get_all_start_methods()
+        self._context = multiprocessing.get_context(
+            "fork" if "fork" in methods else None)
         self._idle: List[_WorkerHandle] = []
         #: Worker processes started over this pool's lifetime.
         self.workers_spawned = 0
@@ -356,161 +342,112 @@ class WorkerPool:
         handle.process.terminate()
         handle.process.join()
 
-    def retire(self, handle: _WorkerHandle) -> None:
-        """Shut one worker down gracefully (exit frame, bounded join)."""
-        try:
-            handle.conn.send_bytes(b'{"op": "exit"}')
-        except (OSError, ValueError):  # pragma: no cover - racing death
-            pass
-        try:
-            handle.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        handle.process.join(timeout=_POOL_EXIT_TIMEOUT)
-        if handle.process.is_alive():  # pragma: no cover - wedged worker
-            handle.process.terminate()
-            handle.process.join()
-
     def close(self) -> None:
-        """Retire every idle worker (in-flight handles are not tracked)."""
+        """Retire every idle worker: exit frame, then a bounded join."""
         while self._idle:
-            self.retire(self._idle.pop())
+            handle = self._idle.pop()
+            try:
+                handle.conn.send_bytes(b'{"op": "exit"}')
+            except (OSError, ValueError):  # pragma: no cover - racing death
+                pass
+            try:
+                handle.conn.close()
+            except OSError:  # pragma: no cover - already closed
+                pass
+            handle.process.join(timeout=_POOL_EXIT_TIMEOUT)
+            if handle.process.is_alive():  # pragma: no cover - wedged worker
+                handle.process.terminate()
+                handle.process.join()
 
-    def __len__(self) -> int:
-        return len(self._idle)
 
-
-def partition_cells(settings: "SweepSettings", cells: Sequence[int],
-                    unit_count: int,
-                    configs: Optional[Sequence[ScenarioConfig]] = None,
-                    ) -> List[List[int]]:
-    """Split ``cells`` (canonical grid indices) into non-empty work units.
+def partition_cells(configs: Sequence[ScenarioConfig], cells: Sequence[int],
+                    unit_count: int) -> List[List[int]]:
+    """Split ``cells`` (positions in ``configs``) into non-empty work units.
 
     Cells are assigned by hashing their config's cache key with
     :func:`~repro.exec.shard.shard_of_config` — the same pure function
-    the K-machine planner uses — then empty units are dropped.  With the
-    full grid and a cold cache this reproduces
+    the K-machine planner uses — then empty units are dropped.  With a
+    full sweep grid and a cold cache this reproduces
     ``plan_shards(settings, unit_count)`` exactly (minus empty shards).
-    ``configs``, when given, is the full grid's config list
-    (``settings.cell_configs()``) so callers that already built it do
-    not pay for rebuilding and re-hashing every cell each round.
     """
     if unit_count < 1:
         raise ValueError("unit count must be at least 1")
-    grid = settings.grid()
     units: List[List[int]] = [[] for _ in range(unit_count)]
     for index in cells:
-        config = (configs[index] if configs is not None
-                  else settings.cell_config(*grid[index]))
-        units[shard_of_config(config, unit_count)].append(index)
+        units[shard_of_config(configs[index], unit_count)].append(index)
     return [unit for unit in units if unit]
 
 
 class ClusterExecutor:
-    """Streaming shard scheduler with cache-aware rebalancing.
+    """Runs scenario configs, in-process or on a warm worker pool.
 
     Parameters
     ----------
     shards:
-        Number of work units per scheduling round (the ``--scheduler K``
-        CLI knob).  On a cold cache the first round's plan equals the
-        K-machine ``plan_shards`` split.
-    workers:
-        Maximum concurrently running worker processes; defaults to
-        ``shards``.  Units beyond the cap queue and dispatch as workers
-        finish, so artifacts stream back throughout the round.
+        ``1`` (default) simulates in this process and starts no process.
+        ``K > 1`` runs up to K work units per scheduling round, each on
+        its own pooled worker process (the ``--workers K`` CLI knob).
     max_retries:
         Extra scheduling rounds allowed after worker failures.  ``0``
-        means a single round: any worker death fails the sweep.
+        means a single round: any worker death fails the run.
     worker_timeout:
         Progress heartbeat in seconds.  A worker's deadline starts at
-        dispatch and is extended whenever new cells of its unit appear
-        in the shared cache root (each completed cell is written there
-        before the worker moves on), so a healthy worker with a large
-        unit of many cells is never reaped mid-run.  A worker that
-        makes no observable progress for ``worker_timeout`` seconds is
-        terminated and its unit rebalanced exactly like a crashed
-        worker — the heartbeat that keeps a hung-but-alive machine from
-        blocking its round forever.  The only progress signal is a
-        *completed cell*, so the timeout must comfortably exceed the
-        wall-clock of the slowest single cell plus worker startup
-        (process spawn and imports) — a smaller value reaps healthy
-        workers mid-cell and, repeated over ``max_retries`` rounds,
-        fails the sweep.  ``None`` (default) waits indefinitely (the
-        historical behaviour).
+        dispatch and is extended whenever a cell of its unit streams
+        back or appears in the shared cache root, so a healthy worker
+        with a large unit of many cells is never reaped mid-run.  A
+        worker that makes no observable progress for ``worker_timeout``
+        seconds is terminated and its unit rebalanced exactly like a
+        crashed worker — the heartbeat that keeps a hung-but-alive
+        machine from blocking its round forever.  The only progress
+        signal is a *completed cell*, so the timeout must comfortably
+        exceed the wall-clock of the slowest single cell plus worker
+        startup — a smaller value reaps healthy workers mid-cell and,
+        repeated over ``max_retries`` rounds, fails the run.  ``None``
+        (default) waits indefinitely.
     cache:
-        The shared :class:`ResultCache` (or a path).  ``None`` uses a
-        private temporary cache root for the duration of the run —
-        crash recovery still works, but nothing persists afterwards.
+        The shared :class:`ResultCache` (or a path).  ``None`` caches
+        nothing in-process; on the pool path it uses a private temporary
+        root for the duration of the run — crash recovery still works,
+        but nothing persists afterwards.
     faults:
-        :class:`FaultInjection` instances (tests/CI only).
-    mp_context:
-        Start-method name or :mod:`multiprocessing` context, as in
-        :class:`~repro.exec.executor.ParallelExecutor`.  ``None`` lets
-        the :class:`WorkerPool` prefer the fork start method.
-    use_pool:
-        When ``True`` (default) workers persist across rounds and
-        across :meth:`run_sweep` calls until :meth:`close`.  When
-        ``False`` every worker is retired after its dispatch and the
-        pool is drained after each round — the relaunch-per-round
-        behaviour, kept for A/B measurement and CI coverage.
-    flush_cells / pack_cache:
-        Worker-side cache batching: completed cells are buffered and
-        written through :meth:`ResultCache.put_many` every
-        ``flush_cells`` cells (and at unit end / before an injected
-        fault), as one packed segment per batch when ``pack_cache`` is
-        true, else as loose per-cell files.
+        :class:`FaultInjection` instances (tests/CI only; pool path).
 
-    Counters (reset at each :meth:`run_sweep` call) expose what happened:
+    Counters (reset at each :meth:`run` call) expose what happened:
     ``cells_from_cache`` (pre-filter plus post-crash recovery hits),
-    ``cells_streamed`` (arrived as worker result frames),
-    ``workers_launched`` (units dispatched to a worker process),
-    ``workers_spawned``/``workers_reused`` (pool decisions behind those
-    dispatches), ``worker_failures``, ``rounds``, ``temp_files_swept``,
-    and the ``stage_seconds`` wall-time breakdown
+    ``cells_streamed`` (cells simulated: streamed back by workers, or
+    run in-process), ``workers_launched`` (units dispatched to a worker
+    process), ``workers_spawned``/``workers_reused`` (pool decisions
+    behind those dispatches), ``worker_failures``, ``rounds``,
+    ``temp_files_swept``, and the ``stage_seconds`` wall-time breakdown
     (``total_stage_seconds`` accumulates across runs for campaigns).
     """
 
-    def __init__(self, shards: int = 2,
-                 workers: Optional[int] = None,
+    def __init__(self, shards: int = 1,
                  max_retries: int = 2,
                  cache: Optional[Union[ResultCache, str, os.PathLike]] = None,
                  faults: Sequence[FaultInjection] = (),
-                 worker_timeout: Optional[float] = None,
-                 mp_context: Union[str, multiprocessing.context.BaseContext,
-                                   None] = None,
-                 use_pool: bool = True,
-                 flush_cells: int = DEFAULT_FLUSH_CELLS,
-                 pack_cache: bool = True) -> None:
+                 worker_timeout: Optional[float] = None) -> None:
         if shards < 1:
             raise ValueError("shards must be at least 1")
-        if workers is not None and workers < 1:
-            raise ValueError("workers must be at least 1")
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if worker_timeout is not None and worker_timeout <= 0:
             raise ValueError("worker_timeout must be positive")
-        if flush_cells < 1:
-            raise ValueError("flush_cells must be at least 1")
+        if faults and shards == 1:
+            raise ValueError("fault injection needs pool workers "
+                             "(shards > 1)")
         if worker_timeout is None and any(fault.mode == "hang"
                                           for fault in faults):
             # A wedged worker is only ever recovered by the heartbeat;
-            # without one run_sweep would block forever.
+            # without one run would block forever.
             raise ValueError("hang-mode faults require a worker_timeout")
         self.shards = shards
-        self.workers = workers or shards
         self.max_retries = max_retries
         self.worker_timeout = worker_timeout
         if cache is not None and not isinstance(cache, ResultCache):
             cache = ResultCache(cache)
         self.cache = cache
         self.faults = tuple(faults)
-        if isinstance(mp_context, str):
-            mp_context = multiprocessing.get_context(mp_context)
-        self._mp_context = mp_context
-        self.use_pool = use_pool
-        self.flush_cells = flush_cells
-        self.pack_cache = pack_cache
         self._pool: Optional[WorkerPool] = None
         #: Per-stage wall time accumulated across every run (campaigns).
         self.total_stage_seconds: Dict[str, float] = {
@@ -524,7 +461,7 @@ class ClusterExecutor:
     def _reset_counters(self) -> None:
         #: Cells served straight from the cache (pre-filter + recovery).
         self.cells_from_cache = 0
-        #: Cells that arrived as streamed worker result frames.
+        #: Cells simulated (streamed back by workers, or run in-process).
         self.cells_streamed = 0
         #: Work units dispatched to a worker process across all rounds.
         self.workers_launched = 0
@@ -549,11 +486,6 @@ class ClusterExecutor:
         self.stage_seconds[stage] += seconds
         self.total_stage_seconds[stage] += seconds
 
-    def _ensure_pool(self) -> WorkerPool:
-        if self._pool is None:
-            self._pool = WorkerPool(self._mp_context)
-        return self._pool
-
     def close(self) -> None:
         """Retire all pooled workers (idempotent; safe mid-lifetime)."""
         if self._pool is not None:
@@ -567,29 +499,32 @@ class ClusterExecutor:
         self.close()
 
     # ------------------------------------------------------------------ #
-    def run_sweep(self, settings: Optional["SweepSettings"] = None,
-                  progress: Optional[SweepProgress] = None) -> "SweepResult":
-        """Run the full grid of ``settings``; returns the merged sweep.
+    def run(self, configs: Sequence[ScenarioConfig],
+            progress: Optional[ProgressCallback] = None,
+            ) -> List[ScenarioResult]:
+        """Execute ``configs`` and return their results **in input order**.
 
-        The result is bit-for-bit identical to
-        ``run_speed_sweep(settings)`` on a serial executor, whatever the
-        cache state and whichever workers crash (within ``max_retries``).
+        ``progress(index, config, result)`` is invoked once per config
+        as its result becomes available (cache hits first, then in
+        completion order); the returned list is always in input order,
+        whatever the cache state and whichever workers crash (within
+        ``max_retries``).
         """
-        from repro.experiments.sweep import SweepSettings
-        settings = settings or SweepSettings.bench()
+        configs = list(configs)
         self._reset_counters()
         spawned_before = reused_before = 0
         if self._pool is not None:
             spawned_before = self._pool.workers_spawned
             reused_before = self._pool.workers_reused
         try:
-            if self.cache is not None:
-                return self._run(settings, self.cache, progress)
-            with tempfile.TemporaryDirectory(
-                    prefix="repro-scheduler-") as root:
-                return self._run(settings, ResultCache(root), progress)
+            if self.cache is not None or self.shards == 1:
+                results = self._run(configs, self.cache, progress)
+            else:
+                with tempfile.TemporaryDirectory(
+                        prefix="repro-scheduler-") as root:
+                    results = self._run(configs, ResultCache(root), progress)
         except BaseException:
-            # A failed sweep (SchedulerError, interrupt, ...) leaves no
+            # A failed run (SchedulerError, interrupt, ...) leaves no
             # pooled workers behind; the next run starts cleanly.
             self.close()
             raise
@@ -601,53 +536,130 @@ class ClusterExecutor:
                                        - reused_before)
                 self.total_workers_spawned += self.workers_spawned
                 self.total_workers_reused += self.workers_reused
+        return [results[index] for index in range(len(configs))]
+
+    def run_one(self, config: ScenarioConfig) -> ScenarioResult:
+        """Convenience wrapper: run a single configuration."""
+        return self.run([config])[0]
+
+    def run_sweep(self, settings: Optional["SweepSettings"] = None,
+                  progress: Optional[SweepProgress] = None) -> "SweepResult":
+        """Run the full grid of ``settings``; returns the assembled sweep.
+
+        ``progress(protocol, speed, replication, result)`` fires once
+        per grid cell.  Assembly is canonical, so the sweep is
+        bit-for-bit identical whatever the execution path.
+        """
+        from repro.experiments.sweep import SweepSettings
+        settings = settings or SweepSettings.bench()
+        grid = settings.grid()
+        callback: Optional[ProgressCallback] = None
+        if progress is not None:
+            outer = progress
+
+            def cell_progress(index: int, config: ScenarioConfig,
+                              result: ScenarioResult) -> None:
+                protocol, speed, replication = grid[index]
+                outer(protocol, speed, replication, result)
+
+            callback = cell_progress
+        results = self.run(settings.cell_configs(), callback)
+        return assemble_sweep_result(settings, dict(enumerate(results)))
 
     # ------------------------------------------------------------------ #
-    def _run(self, settings: "SweepSettings", cache: ResultCache,
-             progress: Optional[SweepProgress]) -> "SweepResult":
-        grid = settings.grid()
-        configs = settings.cell_configs()
-        merger = ShardMerger(settings)
-        pending = list(range(len(grid)))
+    def _run(self, configs: List[ScenarioConfig],
+             cache: Optional[ResultCache],
+             progress: Optional[ProgressCallback],
+             ) -> Dict[int, ScenarioResult]:
+        results: Dict[int, ScenarioResult] = {}
+        pending = list(range(len(configs)))
         round_no = 0
         while True:
             # Cache-aware (re-)filter: round 0 is the pre-filter; later
             # rounds recover cells a dead worker completed before dying.
-            lookup_started = time.perf_counter()  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
-            hits, _misses = cache.lookup([configs[index]
-                                          for index in pending])
-            self._add_stage("lookup",
-                            time.perf_counter() - lookup_started)  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
-            if hits:
+            if cache is not None and pending:
+                lookup_started = time.perf_counter()  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
+                hits, _misses = cache.lookup([configs[index]
+                                              for index in pending])
+                self._add_stage("lookup",
+                                time.perf_counter() - lookup_started)  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
                 recovered = {pending[position]: result
                              for position, result in hits.items()}
-                merger.add_results(recovered)
                 self.cells_from_cache += len(recovered)
-                self._report(settings, grid, recovered, progress)
+                self._deliver(configs, recovered, results, progress)
                 pending = [index for index in pending
                            if index not in recovered]
             if not pending:
                 break
+            if self.shards == 1:
+                self._run_local(configs, pending, cache, results, progress)
+                break
             if round_no > self.max_retries:
                 raise SchedulerError(
-                    f"sweep incomplete after {round_no} round(s) "
+                    f"run incomplete after {round_no} round(s) "
                     f"({self.worker_failures} worker failure(s)): "
                     f"{len(pending)} grid cell(s) missing: {pending}")
-            units = partition_cells(settings, pending,
-                                    min(self.shards, len(pending)),
-                                    configs=configs)
+            assert cache is not None  # run() provides a root for the pool
+            units = partition_cells(configs, pending,
+                                    min(self.shards, len(pending)))
             failed_units, dead_pids = self._run_round(
-                settings, grid, configs, units, round_no, cache, merger,
-                progress)
+                configs, units, round_no, cache, results, progress)
             self.rounds += 1
             if failed_units:
                 self.worker_failures += len(failed_units)
                 self.temp_files_swept += self._sweep_orphans(cache,
                                                              dead_pids)
-            pending = [index for index in pending if index not in merger]
+            pending = [index for index in pending if index not in results]
             round_no += 1
-        self.temp_files_swept += self._sweep_orphans(cache, ())
-        return merger.result()
+        if cache is not None and self.shards > 1:
+            self.temp_files_swept += self._sweep_orphans(cache, ())
+        return results
+
+    def _run_local(self, configs: List[ScenarioConfig], pending: List[int],
+                   cache: Optional[ResultCache],
+                   results: Dict[int, ScenarioResult],
+                   progress: Optional[ProgressCallback]) -> None:
+        """Simulate ``pending`` in this process, batching cache writes.
+
+        Completed cells are flushed on the way out even when a later
+        cell raises or the run is interrupted, so an interrupted run
+        loses at most the in-flight cell.
+        """
+        batch: List[Tuple[ScenarioConfig, ScenarioResult]] = []
+
+        def flush() -> None:
+            if cache is None or not batch:
+                return
+            started = time.perf_counter()  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
+            cache.put_many(batch)
+            self._add_stage("cache_write",
+                            time.perf_counter() - started)  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
+            batch.clear()
+
+        try:
+            for index in pending:
+                started = time.perf_counter()  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
+                result = simulate(configs[index])
+                self._add_stage("simulate",
+                                time.perf_counter() - started)  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
+                self.cells_streamed += 1
+                batch.append((configs[index], result))
+                if len(batch) >= FLUSH_CELLS:
+                    flush()
+                self._deliver(configs, {index: result}, results, progress)
+        finally:
+            flush()
+
+    @staticmethod
+    def _deliver(configs: List[ScenarioConfig],
+                 delivered: Dict[int, ScenarioResult],
+                 results: Dict[int, ScenarioResult],
+                 progress: Optional[ProgressCallback]) -> None:
+        """Record ``delivered`` results and report them in index order."""
+        results.update(delivered)
+        if progress is not None:
+            for index in sorted(delivered):
+                progress(index, configs[index], delivered[index])
 
     @staticmethod
     def _sweep_orphans(cache: ResultCache,
@@ -656,7 +668,7 @@ class ClusterExecutor:
 
         The cache root may be shared with other live writers (parallel
         sweeps are explicitly allowed to share one), so only files whose
-        pid belongs to a worker this scheduler watched die are swept
+        pid belongs to a worker this executor watched die are swept
         unconditionally; anything else must be at least
         :data:`STRAY_TEMP_MIN_AGE_SECONDS` old.
         """
@@ -668,41 +680,36 @@ class ClusterExecutor:
         return swept
 
     # ------------------------------------------------------------------ #
-    def _run_round(self, settings: "SweepSettings",
-                   grid: List[Tuple[str, float, int]],
-                   configs: List[ScenarioConfig],
+    def _run_round(self, configs: List[ScenarioConfig],
                    units: List[List[int]], round_no: int,
-                   cache: ResultCache, merger: ShardMerger,
-                   progress: Optional[SweepProgress],
+                   cache: ResultCache, results: Dict[int, ScenarioResult],
+                   progress: Optional[ProgressCallback],
                    ) -> Tuple[List[int], List[int]]:
-        """Dispatch one round of work units over pooled workers.
+        """Dispatch one round of work units, one pooled worker each.
 
-        Returns ``(failed unit indices, dead worker pids)``.  At most
-        ``self.workers`` processes run concurrently; each completed
-        cell is merged the moment its frame streams back, while the
-        rest of the round is still running.  A frame doubles as the
-        primary liveness signal (it extends the worker's heartbeat
-        deadline); the cache probe remains the fallback for workers
-        whose completed cells were flushed but whose frames were lost.
+        Returns ``(failed unit indices, dead worker pids)``.  Each
+        completed cell is recorded the moment its frame streams back,
+        while the rest of the round is still running.  A frame doubles
+        as the primary liveness signal (it extends the worker's
+        heartbeat deadline); the cache probe remains the fallback for
+        workers whose completed cells were flushed but whose frames were
+        lost.
         """
-        pool = self._ensure_pool()
+        if self._pool is None:
+            self._pool = WorkerPool()
+        pool = self._pool
         faults = {fault.unit: fault for fault in self.faults
                   if fault.round == round_no}
-        serialize_started = time.perf_counter()  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
-        settings_dict = settings.to_dict()
-        self._add_stage("serialize",
-                        time.perf_counter() - serialize_started)  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
-        queued = list(enumerate(units))
         live: Dict[Connection, Tuple[int, _WorkerHandle]] = {}
         deadlines: Dict[Connection, float] = {}
-        unit_cells: Dict[Connection, List[int]] = {}
         cached_counts: Dict[Connection, int] = {}
         failed_units: List[int] = []
         dead_pids: List[int] = []
 
-        def mark_failed(conn: Connection, timed_out: bool = False) -> None:
-            unit_index, handle = live.pop(conn)
-            deadlines.pop(conn, None)
+        def mark_failed(handle: _WorkerHandle, unit_index: int,
+                        timed_out: bool = False) -> None:
+            live.pop(handle.conn, None)
+            deadlines.pop(handle.conn, None)
             pid = handle.process.pid
             pool.discard(handle)
             failed_units.append(unit_index)
@@ -712,55 +719,44 @@ class ClusterExecutor:
                 dead_pids.append(pid)
 
         try:
-            while queued or live:
-                while queued and len(live) < self.workers:
-                    unit_index, cells = queued.pop(0)
-                    fault = faults.get(unit_index)
-                    spawn_started = time.perf_counter()  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
-                    handle = pool.acquire()
-                    self._add_stage("spawn",
-                                    time.perf_counter() - spawn_started)  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
-                    serialize_started = time.perf_counter()  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
-                    payload = json.dumps({
-                        "op": "run",
-                        "settings": settings_dict,
-                        "cells": cells,
-                        "cache_root": str(cache.root),
-                        "unit_index": unit_index,
-                        "unit_count": len(units),
-                        "flush_cells": self.flush_cells,
-                        "pack": self.pack_cache,
-                        "fail_after_cells":
-                            fault.after_cells if fault else None,
-                        "fail_mode": fault.mode if fault else "kill",
-                    }, sort_keys=True)
-                    try:
-                        handle.conn.send_bytes(payload.encode("utf-8"))
-                    except (OSError, ValueError):
-                        # The warm worker died between acquire and
-                        # dispatch; count the unit failed and let the
-                        # next round re-plan it.
-                        self._add_stage(
-                            "serialize",
-                            time.perf_counter() - serialize_started)  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
-                        pid = handle.process.pid
-                        pool.discard(handle)
-                        failed_units.append(unit_index)
-                        if pid is not None:
-                            dead_pids.append(pid)
-                        self.workers_launched += 1
-                        continue
-                    self._add_stage("serialize",
-                                    time.perf_counter() - serialize_started)  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
-                    live[handle.conn] = (unit_index, handle)
-                    if self.worker_timeout is not None:
-                        started_at = time.monotonic()  # repro-lint: ignore[D-wallclock] liveness only
-                        deadlines[handle.conn] = (started_at
-                                                  + self.worker_timeout)
-                        unit_cells[handle.conn] = cells
-                        # Unit cells were cache misses when planned.
-                        cached_counts[handle.conn] = 0
-                    self.workers_launched += 1
+            for unit_index, cells in enumerate(units):
+                fault = faults.get(unit_index)
+                spawn_started = time.perf_counter()  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
+                handle = pool.acquire()
+                self._add_stage("spawn",
+                                time.perf_counter() - spawn_started)  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
+                self.workers_launched += 1
+                serialize_started = time.perf_counter()  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
+                payload = json.dumps({
+                    "op": "run",
+                    "cells": [[index, configs[index].to_dict()]
+                              for index in cells],
+                    "cache_root": str(cache.root),
+                    "unit_index": unit_index,
+                    "fail_after_cells":
+                        fault.after_cells if fault else None,
+                    "fail_mode": fault.mode if fault else "kill",
+                })
+                try:
+                    handle.conn.send_bytes(payload.encode("utf-8"))
+                    sent = True
+                except (OSError, ValueError):
+                    # The warm worker died between acquire and dispatch;
+                    # count the unit failed and let the next round
+                    # re-plan it.
+                    sent = False
+                self._add_stage("serialize",
+                                time.perf_counter() - serialize_started)  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
+                if not sent:
+                    mark_failed(handle, unit_index)
+                    continue
+                live[handle.conn] = (unit_index, handle)
+                if self.worker_timeout is not None:
+                    deadlines[handle.conn] = (time.monotonic()  # repro-lint: ignore[D-wallclock] liveness only
+                                              + self.worker_timeout)
+                    # Unit cells were cache misses when planned.
+                    cached_counts[handle.conn] = 0
+            while live:
                 wait_timeout = None
                 if deadlines:
                     mono_now = time.monotonic()  # repro-lint: ignore[D-wallclock] liveness only
@@ -777,21 +773,17 @@ class ClusterExecutor:
                     except (EOFError, OSError):
                         # EOFError: died with nothing buffered; OSError:
                         # died mid-frame.  Both are the same mid-unit
-                        # crash to the scheduler; cells it streamed
-                        # before dying stay merged.
+                        # crash to the executor; cells it streamed
+                        # before dying stay recorded.
                         frame = None
                     self._add_stage("stream",
                                     time.perf_counter() - stream_started)  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
                     if frame is None:
-                        mark_failed(conn)
+                        mark_failed(handle, unit_index)
                         continue
                     if "cell" in frame:
                         index = int(frame["cell"])
                         result = ScenarioResult.from_dict(frame["result"])
-                        merge_started = time.perf_counter()  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
-                        merger.add_results({index: result})
-                        self._add_stage(
-                            "merge", time.perf_counter() - merge_started)  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
                         self._add_stage("simulate",
                                         float(frame.get("sim_s", 0.0)))
                         self.cells_streamed += 1
@@ -799,8 +791,11 @@ class ClusterExecutor:
                             # A frame is progress; no cache probe needed.
                             deadlines[conn] = (time.monotonic()  # repro-lint: ignore[D-wallclock] liveness only
                                                + self.worker_timeout)
-                        self._report(settings, grid, {index: result},
-                                     progress)
+                        merge_started = time.perf_counter()  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
+                        self._deliver(configs, {index: result}, results,
+                                      progress)
+                        self._add_stage(
+                            "merge", time.perf_counter() - merge_started)  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
                         continue
                     # Done frame: the unit is complete; the worker is
                     # warm and idle again.
@@ -808,10 +803,7 @@ class ClusterExecutor:
                                     float(frame.get("cache_write_s", 0.0)))
                     del live[conn]
                     deadlines.pop(conn, None)
-                    if self.use_pool:
-                        pool.release(handle)
-                    else:
-                        pool.retire(handle)
+                    pool.release(handle)
                 # Heartbeat check.  A worker past its deadline gets one
                 # question: did new cells of its unit land in the shared
                 # cache since the last check?  If yes it is healthy but
@@ -823,45 +815,75 @@ class ClusterExecutor:
                 expired = [c for c, deadline in deadlines.items()
                            if deadline <= now and c in live]
                 for conn in expired:
+                    unit_index, handle = live[conn]
                     # has_current() enforces the repro-version guard, so
                     # stale entries left by an older version (which made
                     # these cells pending in the first place) never
                     # count as progress — only cells this run wrote do.
-                    cached = sum(
-                        1 for index in unit_cells[conn]
-                        if cache.has_current(configs[index]))
+                    cached = sum(1 for index in units[unit_index]
+                                 if cache.has_current(configs[index]))
                     if cached > cached_counts[conn]:
                         cached_counts[conn] = cached
                         deadlines[conn] = now + self.worker_timeout
                         continue
-                    mark_failed(conn, timed_out=True)
+                    mark_failed(handle, unit_index, timed_out=True)
         finally:
-            for conn in list(live):
-                _unit_index, handle = live.pop(conn)
+            for _unit_index, handle in list(live.values()):
                 pool.discard(handle)
-            if not self.use_pool:
-                pool.close()
+            live.clear()
         return failed_units, dead_pids
-
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _report(settings: "SweepSettings",
-                grid: List[Tuple[str, float, int]],
-                results: Dict[int, ScenarioResult],
-                progress: Optional[SweepProgress]) -> None:
-        if progress is None:
-            return
-        for index in sorted(results):
-            protocol, speed, replication = grid[index]
-            progress(protocol, speed, replication, results[index])
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (f"ClusterExecutor(shards={self.shards}, "
-                f"workers={self.workers}, max_retries={self.max_retries}, "
+                f"max_retries={self.max_retries}, "
                 f"worker_timeout={self.worker_timeout}, "
                 f"cache={self.cache!r})")
 
 
-#: The ISSUE/ROADMAP name for the same object: scheduling is the act,
-#: cluster execution is the capability.
-ShardScheduler = ClusterExecutor
+def executor_for(executor: Optional[ClusterExecutor],
+                 cache: Optional[ResultCache]) -> ClusterExecutor:
+    """``executor``, or an in-process one over ``cache`` — never both.
+
+    The shared argument rule of every experiment entry point that takes
+    ``executor=`` / ``cache=``: a cache belongs on the executor, so a
+    second one passed alongside it is refused rather than ignored.
+    """
+    if executor is None:
+        return ClusterExecutor(cache=cache)
+    if cache is not None:
+        raise ValueError("pass the cache on the executor or via cache=, "
+                         "not both")
+    return executor
+
+
+def _workers_arg(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0")
+    return value
+
+
+def add_executor_options(parser: argparse.ArgumentParser) -> None:
+    """Add the standard ``--workers`` / ``--cache`` options to ``parser``.
+
+    The single definition the CLIs and example scripts share; pair with
+    :func:`executor_from_args`.
+    """
+    parser.add_argument("--workers", type=_workers_arg, default=1,
+                        metavar="N",
+                        help="worker processes for the simulation runs "
+                             "(1 = in-process, 0 = one per CPU core)")
+    parser.add_argument("--cache", metavar="DIR", default=None,
+                        help="result-cache directory; repeated runs only "
+                             "simulate configurations not cached yet")
+
+
+def executor_from_args(args: argparse.Namespace,
+                       **options: Any) -> ClusterExecutor:
+    """Build the executor from options added by :func:`add_executor_options`.
+
+    ``--workers 0`` means one worker per CPU core.  ``options`` pass
+    through to :class:`ClusterExecutor` (retries, timeout, faults).
+    """
+    workers = args.workers or os.cpu_count() or 1
+    return ClusterExecutor(shards=workers, cache=args.cache, **options)

@@ -21,10 +21,9 @@ invocations — typically K machines — and reassembled afterwards:
    :meth:`~repro.exec.cache.ResultCache.merge_from` (CLI:
    ``repro-cache merge``).
 
-This module imports the sweep layer lazily inside functions:
-``repro.experiments.sweep`` itself imports :mod:`repro.exec`, so a
-module-level import here would be circular (same idiom as
-``repro.scenario.runner``).
+This module imports the sweep layer and the executor lazily inside
+functions: both import this module, so a module-level import here would
+be circular (same idiom as ``repro.scenario.runner``).
 """
 
 from __future__ import annotations
@@ -39,11 +38,11 @@ from typing import (
 
 from repro.exec.artifact import check_artifact_stamp, stamp_artifact
 from repro.exec.cache import ResultCache, atomic_write_text, config_key
-from repro.exec.executor import Executor, resolve_executor
 from repro.scenario.config import ScenarioConfig
 from repro.scenario.results import ScenarioResult, aggregate_results
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.exec.scheduler import ClusterExecutor
     from repro.experiments.sweep import SweepResult, SweepSettings
 
 
@@ -187,7 +186,7 @@ class SweepShard:
 def run_sweep_shard(settings: Optional["SweepSettings"] = None,
                     shard: Union[ShardSpec, str] = "0/1",
                     progress: Optional[Callable] = None,
-                    executor: Optional[Executor] = None,
+                    executor: Optional["ClusterExecutor"] = None,
                     cache: Optional[ResultCache] = None,
                     plan: Optional[List[List[int]]] = None) -> SweepShard:
     """Run one shard of the sweep grid and return its partial results.
@@ -209,11 +208,12 @@ def run_sweep_shard(settings: Optional["SweepSettings"] = None,
         callers that already built one (it is a pure function of the
         settings, so recomputing is merely redundant hashing work).
     """
+    from repro.exec.scheduler import executor_for
     from repro.experiments.sweep import SweepSettings
     settings = settings or SweepSettings.bench()
     if isinstance(shard, str):
         shard = ShardSpec.parse(shard)
-    runner = resolve_executor(executor, cache)
+    runner = executor_for(executor, cache)
     grid = settings.grid()
     if plan is None:
         plan = plan_shards(settings, shard.count)
@@ -247,10 +247,11 @@ def assemble_sweep_result(settings: "SweepSettings",
     ``results`` maps canonical grid indices (positions in
     ``settings.grid()``) to results and must cover the grid exactly.
     Assembly is always in canonical grid order, which is what makes
-    sweep artifacts bit-for-bit independent of the execution strategy —
-    serial, parallel, sharded, or scheduled.  This is the one assembly
-    path shared by :func:`~repro.experiments.sweep.run_speed_sweep`,
-    :func:`merge_shard_results` and the streaming scheduler.
+    sweep artifacts bit-for-bit independent of how the cells ran —
+    in-process, on pool workers, or sharded across machines.  This is
+    the one assembly path shared by
+    :meth:`~repro.exec.scheduler.ClusterExecutor.run_sweep` and
+    :func:`merge_shard_results`.
     """
     from repro.experiments.sweep import SweepResult
     grid = settings.grid()
@@ -287,14 +288,12 @@ class ShardMerger:
     """Incremental, validating accumulator of sweep cells.
 
     Shard artifacts (or raw per-cell result mappings) are added one at a
-    time — in any order, as they stream back from workers — and the full
+    time, in any order, and the full
     :class:`~repro.experiments.sweep.SweepResult` is produced once the
-    grid is covered.  Unlike :func:`merge_shard_results`, the merger does
-    not require the pieces to follow the planner's K-way assignment:
-    only settings equality, per-cell uniqueness, and (at :meth:`result`
-    time) exact grid coverage are enforced, which is what a rebalancing
-    scheduler needs when a crashed shard's surviving cells come back
-    split across new work units.
+    grid is covered.  The merger itself does not require the pieces to
+    follow the planner's K-way assignment (:func:`merge_shard_results`
+    checks that on top): only settings equality, per-cell uniqueness,
+    and (at :meth:`result` time) exact grid coverage are enforced.
     """
 
     def __init__(self, settings: "SweepSettings") -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from repro.exec import Executor, ResultCache, resolve_executor
+from repro.exec import ClusterExecutor, ResultCache, executor_for
 from repro.scenario.config import ScenarioConfig
 from repro.scenario.results import ScenarioResult
 
@@ -30,7 +30,7 @@ def _base_config(**overrides) -> ScenarioConfig:
 
 def run_check_interval_ablation(intervals: Sequence[float] = (1.0, 2.0, 3.0, 4.0, 6.0),
                                 config: Optional[ScenarioConfig] = None,
-                                executor: Optional[Executor] = None,
+                                executor: Optional[ClusterExecutor] = None,
                                 cache: Optional[ResultCache] = None,
                                 ) -> Dict[float, ScenarioResult]:
     """Sweep the MTS route-checking interval.
@@ -39,7 +39,8 @@ def run_check_interval_ablation(intervals: Sequence[float] = (1.0, 2.0, 3.0, 4.0
     columns are ``control_overhead`` (rises as the interval shrinks) and
     the security metrics (improve as the interval shrinks).  The knob
     values are independent runs, so ``executor``/``cache`` (see
-    :mod:`repro.exec`) parallelise and memoise them.
+    :mod:`repro.exec`) fan them out over worker processes and memoise
+    them.
     """
     base = config or _base_config()
     knobs = [float(interval) for interval in intervals]
@@ -47,13 +48,13 @@ def run_check_interval_ablation(intervals: Sequence[float] = (1.0, 2.0, 3.0, 4.0
         if interval <= 0:
             raise ValueError("check interval must be positive")
     configs = [base.replace(mts_check_interval=interval) for interval in knobs]
-    results = resolve_executor(executor, cache).run(configs)
+    results = executor_for(executor, cache).run(configs)
     return dict(zip(knobs, results))
 
 
 def run_max_paths_ablation(max_paths_values: Sequence[int] = (1, 2, 3, 5),
                            config: Optional[ScenarioConfig] = None,
-                           executor: Optional[Executor] = None,
+                           executor: Optional[ClusterExecutor] = None,
                            cache: Optional[ResultCache] = None,
                            ) -> Dict[int, ScenarioResult]:
     """Sweep the cap on disjoint paths stored at the destination."""
@@ -63,7 +64,7 @@ def run_max_paths_ablation(max_paths_values: Sequence[int] = (1, 2, 3, 5),
         if max_paths < 1:
             raise ValueError("max_paths must be at least 1")
     configs = [base.replace(mts_max_paths=max_paths) for max_paths in knobs]
-    results = resolve_executor(executor, cache).run(configs)
+    results = executor_for(executor, cache).run(configs)
     return dict(zip(knobs, results))
 
 

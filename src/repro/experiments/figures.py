@@ -13,7 +13,7 @@ import dataclasses
 import os
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.exec import Executor, ResultCache
+from repro.exec import ClusterExecutor, ResultCache
 from repro.experiments.sweep import SweepResult, SweepSettings, run_speed_sweep
 
 
@@ -152,7 +152,7 @@ def format_figure(sweep: SweepResult, figure_id: str) -> str:
 
 def run_figure(figure_id: str, settings: Optional[SweepSettings] = None,
                sweep: Optional[SweepResult] = None,
-               executor: Optional[Executor] = None,
+               executor: Optional[ClusterExecutor] = None,
                cache: Optional[ResultCache] = None,
                artifact: Union[str, os.PathLike, None] = None,
                allow_stale: bool = False,

@@ -7,10 +7,10 @@ grid; every figure module then extracts its own metric from the shared
 :class:`SweepResult` so the expensive simulations are run only once.
 
 The grid cells are independent simulations, so the sweep routes through
-the :mod:`repro.exec` subsystem: pass ``executor=ParallelExecutor(...)``
-to fan cells out across cores (results are bit-for-bit identical to the
-serial path) and/or ``cache=ResultCache(...)`` so re-running a sweep only
-simulates cells whose configuration changed.  :meth:`SweepResult.to_json`
+the :mod:`repro.exec` subsystem: pass ``executor=ClusterExecutor(shards=K)``
+to fan cells out across K worker processes (results are bit-for-bit
+identical to the in-process path) and/or ``cache=ResultCache(...)`` so
+re-running a sweep only simulates cells whose configuration changed.  :meth:`SweepResult.to_json`
 / :meth:`SweepResult.save` make the whole grid a durable artifact that
 figures can be re-rendered from without re-simulating anything.
 
@@ -34,8 +34,8 @@ from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.exec import (
-    Executor, ResultCache, assemble_sweep_result, atomic_write_text,
-    check_artifact_stamp, resolve_executor, stamp_artifact,
+    ClusterExecutor, ResultCache, atomic_write_text, check_artifact_stamp,
+    executor_for, stamp_artifact,
 )
 from repro.scenario.config import ScenarioConfig, normalize_config_fields
 from repro.scenario.results import AggregateResult, ScenarioResult
@@ -410,7 +410,7 @@ class SweepResult:
 
 def run_speed_sweep(settings: Optional[SweepSettings] = None,
                     progress: Optional[callable] = None,
-                    executor: Optional[Executor] = None,
+                    executor: Optional[ClusterExecutor] = None,
                     cache: Optional[ResultCache] = None) -> SweepResult:
     """Run the full (protocol × speed × replication) grid.
 
@@ -421,29 +421,17 @@ def run_speed_sweep(settings: Optional[SweepSettings] = None,
     progress:
         Optional callback ``progress(protocol, speed, replication, result)``
         invoked after every completed run (used by the example scripts to
-        print live status).  With a parallel executor the callback fires
-        in completion order; the returned :class:`SweepResult` is always
+        print live status).  On pool workers the callback fires in
+        completion order; the returned :class:`SweepResult` is always
         assembled in canonical grid order.
     executor:
-        Execution strategy (see :mod:`repro.exec`); defaults to a fresh
-        :class:`~repro.exec.SerialExecutor`.  A
-        :class:`~repro.exec.ParallelExecutor` produces bit-for-bit
-        identical results while fanning cells out across cores.
+        The :class:`~repro.exec.ClusterExecutor` to run on; defaults to
+        an in-process one.  ``ClusterExecutor(shards=K)`` produces
+        bit-for-bit identical results while fanning cells out across K
+        worker processes.
     cache:
-        Optional :class:`~repro.exec.ResultCache`; cells with a cached
-        result are loaded from disk instead of simulated.
+        Optional :class:`~repro.exec.ResultCache` for the default
+        executor (pass it on ``executor`` otherwise); cells with a
+        cached result are loaded from disk instead of simulated.
     """
-    settings = settings or SweepSettings.bench()
-    runner = resolve_executor(executor, cache)
-    grid = settings.grid()
-    configs = settings.cell_configs()
-
-    executor_progress = None
-    if progress is not None:
-        def executor_progress(index: int, config: ScenarioConfig,
-                              result: ScenarioResult) -> None:
-            protocol, speed, replication = grid[index]
-            progress(protocol, speed, replication, result)
-
-    results = runner.run(configs, progress=executor_progress)
-    return assemble_sweep_result(settings, dict(enumerate(results)))
+    return executor_for(executor, cache).run_sweep(settings, progress)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional, TYPE_CHECKING, Tuple
 
-from repro.exec import Executor, ResultCache, resolve_executor
+from repro.exec import ClusterExecutor, ResultCache, executor_for
 from repro.metrics.relay import RelayNormalization, normalize_relay_counts
 from repro.scenario.config import ScenarioConfig
 from repro.scenario.results import ScenarioResult
@@ -21,7 +21,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 def run_table1(config: Optional[ScenarioConfig] = None,
-               executor: Optional[Executor] = None,
+               executor: Optional[ClusterExecutor] = None,
                cache: Optional[ResultCache] = None,
                result: Optional[ScenarioResult] = None,
                ) -> Tuple[RelayNormalization, ScenarioResult]:
@@ -34,9 +34,9 @@ def run_table1(config: Optional[ScenarioConfig] = None,
         paper's own table is one 200 s DSR run at paper scale
         (``ScenarioConfig.paper_default(protocol="DSR")``).
     executor / cache:
-        Optional execution strategy and result cache (see
-        :mod:`repro.exec`); with a cache the walkthrough is free when the
-        same scenario was already simulated.
+        Optional executor or result cache (see :mod:`repro.exec`); with
+        a cache the walkthrough is free when the same scenario was
+        already simulated.
     result:
         A previously computed DSR run (e.g. pulled out of a saved
         :class:`~repro.experiments.sweep.SweepResult` artifact); when
@@ -53,7 +53,7 @@ def run_table1(config: Optional[ScenarioConfig] = None,
                                 sim_time=30.0, seed=5)
     if config.protocol != "DSR":
         raise ValueError("Table I is defined for a DSR scenario")
-    result = resolve_executor(executor, cache).run_one(config)
+    result = executor_for(executor, cache).run_one(config)
     normalization = normalize_relay_counts(result.relay_counts)
     return normalization, result
 

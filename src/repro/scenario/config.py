@@ -11,6 +11,7 @@ as the benchmark default.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -242,9 +243,17 @@ class ScenarioConfig:
         """JSON-compatible dictionary of every field.
 
         Tuples are normalised to lists so the output is identical whether
-        it is inspected directly or round-tripped through JSON.
+        it is inspected directly or round-tripped through JSON.  Only the
+        ``*_params`` dicts are deep-copied (every other field is a scalar,
+        a tuple or rebuilt below): ``dataclasses.asdict`` walks every
+        field recursively and would cost the executor's config wire and
+        every cache-key computation several times as much.
         """
-        data = dataclasses.asdict(self)
+        data = {field.name: getattr(self, field.name)
+                for field in dataclasses.fields(self)}
+        for name, value in data.items():
+            if isinstance(value, dict):
+                data[name] = copy.deepcopy(value)
         data["field_size"] = list(self.field_size)
         if self.flows is not None:
             data["flows"] = [list(flow) for flow in self.flows]

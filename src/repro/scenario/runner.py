@@ -5,11 +5,10 @@ same configuration under several independent seeds and aggregates the
 results, mirroring the paper's "each simulation is run for 200 seconds and
 repeated 5 times" methodology.
 
-Both entry points optionally route through the :mod:`repro.exec`
-subsystem: pass an ``executor`` to choose the execution strategy (serial
-in-process vs. a process pool) and/or a ``cache`` to reuse previously
-computed results.  With neither argument the behaviour is the historical
-direct in-process run.
+Both entry points route through :class:`repro.exec.ClusterExecutor`:
+pass an ``executor`` to run on worker processes, or a ``cache`` to reuse
+previously computed results.  With neither argument the runs happen
+in-process with no cache.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from repro.scenario.results import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.exec import Executor, ResultCache
+    from repro.exec import ClusterExecutor, ResultCache
 
 
 def build_scenario(config: ScenarioConfig) -> Scenario:
@@ -34,7 +33,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
 
 
 def run_scenario(config: ScenarioConfig,
-                 executor: Optional["Executor"] = None,
+                 executor: Optional["ClusterExecutor"] = None,
                  cache: Optional["ResultCache"] = None) -> ScenarioResult:
     """Build and run one scenario; return its measured metrics.
 
@@ -43,19 +42,16 @@ def run_scenario(config: ScenarioConfig,
     config:
         The scenario to simulate.
     executor / cache:
-        Optional execution strategy and result cache (see
-        :mod:`repro.exec`).  Omitting both runs directly in-process.
+        Optional executor or result cache (see :mod:`repro.exec`).
     """
-    if executor is None and cache is None:
-        return build_scenario(config).run()
     # Imported lazily: repro.exec itself imports the scenario layer.
-    from repro.exec import resolve_executor
-    return resolve_executor(executor, cache).run_one(config)
+    from repro.exec import executor_for
+    return executor_for(executor, cache).run_one(config)
 
 
 def run_replications(config: ScenarioConfig, replications: int = 5,
                      seeds: Optional[Sequence[int]] = None,
-                     executor: Optional["Executor"] = None,
+                     executor: Optional["ClusterExecutor"] = None,
                      cache: Optional["ResultCache"] = None,
                      ) -> tuple[AggregateResult, List[ScenarioResult]]:
     """Run ``replications`` independent copies of ``config`` and aggregate.
@@ -72,9 +68,9 @@ def run_replications(config: ScenarioConfig, replications: int = 5,
         derived deterministically from ``config.seed`` so the whole batch
         is reproducible.
     executor / cache:
-        Optional execution strategy and result cache (see
-        :mod:`repro.exec`).  Replications are independent, so a parallel
-        executor runs them concurrently with identical results.
+        Optional executor or result cache (see :mod:`repro.exec`).
+        Replications are independent, so an executor with worker
+        processes runs them concurrently with identical results.
 
     Returns
     -------
@@ -88,9 +84,6 @@ def run_replications(config: ScenarioConfig, replications: int = 5,
     elif len(seeds) != replications:
         raise ValueError("len(seeds) must equal the number of replications")
     configs = [config.replace(seed=int(seed)) for seed in seeds]
-    if executor is None and cache is None:
-        results = [run_scenario(run_config) for run_config in configs]
-    else:
-        from repro.exec import resolve_executor
-        results = resolve_executor(executor, cache).run(configs)
+    from repro.exec import executor_for
+    results = executor_for(executor, cache).run(configs)
     return aggregate_results(results), results

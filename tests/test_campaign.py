@@ -34,7 +34,6 @@ from repro.cli import sweep as sweep_cli
 from repro.exec import (
     ClusterExecutor,
     ResultCache,
-    SerialExecutor,
     StaleArtifactError,
 )
 from repro.experiments.figures import FIGURES, render_figures
@@ -223,15 +222,13 @@ class TestCampaignRun:
 
 
 class TestScheduledCampaign:
-    """PR-10: the --scheduler path runs every entry through one pooled
-    ClusterExecutor and stays byte-identical to the serial path."""
+    """A pooled ClusterExecutor runs every entry on one warm pool and
+    stays byte-identical to the in-process path."""
 
     def test_scheduled_campaign_matches_serial_byte_for_byte(self,
                                                              tmp_path):
         spec = tiny_spec()
-        serial = run_campaign(
-            spec, executor=SerialExecutor(
-                cache=ResultCache(tmp_path / "serial-cache")))
+        serial = run_campaign(spec, cache=ResultCache(tmp_path / "serial"))
         with ClusterExecutor(shards=2,
                              cache=tmp_path / "sched-cache") as scheduler:
             scheduled = run_campaign(spec, scheduler=scheduler)
@@ -248,15 +245,33 @@ class TestScheduledCampaign:
         assert replay.simulated == 0
         assert replay.from_cache == serial.cells
 
-    def test_scheduler_is_exclusive_with_executor_and_stop_after(
-            self, tmp_path):
-        scheduler = ClusterExecutor(shards=1, cache=tmp_path / "cache")
+    def test_stop_after_cells_on_two_workers_resumes_and_replays(
+            self, tmp_path, campaign_env):
+        spec = tiny_spec()
+        cache_root = tmp_path / "cache"
+        with ClusterExecutor(shards=2, cache=cache_root) as scheduler:
+            with pytest.raises(CampaignInterrupted) as interrupted:
+                run_campaign(spec, scheduler=scheduler, stop_after_cells=1)
+            assert scheduler.cells_streamed == 1
+        assert interrupted.value.simulated == 1
+        status = campaign_status(spec, ResultCache(cache_root))
+        assert [entry.cached for entry in status] == [1]
+        with ClusterExecutor(shards=2, cache=cache_root) as scheduler:
+            resume = run_campaign(spec, scheduler=scheduler)
+        assert (resume.from_cache, resume.simulated) == (1, 1)
+        with ClusterExecutor(shards=2, cache=cache_root) as scheduler:
+            replay = run_campaign(spec, scheduler=scheduler)
+            assert scheduler.total_workers_spawned == 0
+        assert (replay.from_cache, replay.simulated) == (2, 0)
+        for name, sweep in campaign_env.resume.sweeps.items():
+            assert resume.sweeps[name].to_json() == sweep.to_json()
+            assert replay.sweeps[name].to_json() == sweep.to_json()
+
+    def test_cache_goes_on_the_scheduler_or_cache_not_both(self, tmp_path):
+        scheduler = ClusterExecutor(cache=tmp_path / "a")
         with pytest.raises(ValueError, match="not both"):
-            run_campaign(tiny_spec(), executor=SerialExecutor(),
+            run_campaign(tiny_spec(), cache=ResultCache(tmp_path / "b"),
                          scheduler=scheduler)
-        with pytest.raises(ValueError, match="stop_after_cells"):
-            run_campaign(tiny_spec(), scheduler=scheduler,
-                         stop_after_cells=1)
 
     def test_scheduler_without_any_cache_is_refused(self):
         with pytest.raises(ValueError, match="needs a cache"):
@@ -402,6 +417,22 @@ class TestCampaignCli:
         data = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert data["entries"][0]["complete"] is True
+
+    def test_run_interrupt_on_two_workers_then_resume(self, tmp_path,
+                                                      capsys):
+        manifest = tmp_path / "manifest.json"
+        tiny_spec().save(manifest)
+        cache = str(tmp_path / "cache")
+        rc = campaign_cli.main(["run", str(manifest), "--cache", cache,
+                                "--stop-after-cells", "1", "--workers", "2"])
+        assert rc == campaign_cli.EXIT_INTERRUPTED
+        assert "interrupted" in capsys.readouterr().out
+        rc = campaign_cli.main(["run", str(manifest), "--cache", cache,
+                                "--workers", "2"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "1 from cache, 1 simulated" in out
+        assert "pool spawned 1 process(es)" in out
 
     def test_run_requires_cache(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"

@@ -15,6 +15,7 @@ from repro.cli import __main__ as cli_main
 from repro.cli import bench as bench_cli
 from repro.cli import cache as cache_cli
 from repro.cli import sweep as sweep_cli
+import repro.exec.cache as exec_cache
 from repro.exec import ResultCache, config_key
 from repro.experiments.sweep import SweepResult, SweepSettings, run_speed_sweep
 from repro.scenario.config import ScenarioConfig
@@ -81,7 +82,7 @@ class TestReproSweep:
         def boom(*args, **kwargs):  # pragma: no cover - must not be hit
             raise AssertionError("render must not simulate")
 
-        monkeypatch.setattr("repro.exec.executor.simulate", boom)
+        monkeypatch.setattr("repro.exec.scheduler.simulate", boom)
         monkeypatch.setattr("repro.scenario.builder.ScenarioBuilder.build",
                             boom)
         assert sweep_cli.main(["render", str(artifact)]) == 0
@@ -112,11 +113,11 @@ class TestReproSweep:
 
     def test_scheduler_run_with_injected_kill_matches_serial(
             self, tmp_path, capsys, settings_file, tiny_serial):
-        """run --scheduler 2 --inject-fault 0:1 → byte-identical artifact."""
+        """run --workers 2 --inject-fault 0:1 → byte-identical artifact."""
         out_path = tmp_path / "scheduled.json"
         assert sweep_cli.main([
             "run", "--settings-json", str(settings_file),
-            "--scheduler", "2", "--max-retries", "2",
+            "--workers", "2", "--max-retries", "2",
             "--inject-fault", "0:1", "--quiet",
             "--cache", str(tmp_path / "sched-cache"),
             "--out", str(out_path)]) == 0
@@ -187,33 +188,30 @@ class TestReproSweep:
     def test_inject_hang_requires_timeout_and_scheduler(self, capsys,
                                                         settings_file):
         assert sweep_cli.main(["run", "--settings-json", str(settings_file),
-                               "--scheduler", "2",
+                               "--workers", "2",
                                "--inject-hang", "0:1"]) == 2
         assert "--worker-timeout" in capsys.readouterr().err
         assert sweep_cli.main(["run", "--settings-json", str(settings_file),
                                "--inject-hang", "0:1",
                                "--worker-timeout", "5"]) == 2
-        assert "require --scheduler" in capsys.readouterr().err
+        assert "require --workers 2 or more" in capsys.readouterr().err
 
     def test_scheduler_rejects_bad_flag_combinations(self, capsys,
                                                      settings_file):
         assert sweep_cli.main(["run", "--settings-json", str(settings_file),
-                               "--scheduler", "2", "--shard", "0/2"]) == 2
-        assert "mutually exclusive" in capsys.readouterr().err
-        assert sweep_cli.main(["run", "--settings-json", str(settings_file),
-                               "--scheduler", "2",
+                               "--workers", "2",
                                "--inject-fault", "bogus"]) == 2
         assert "--inject-fault" in capsys.readouterr().err
         with pytest.raises(SystemExit) as excinfo:
             sweep_cli.main(["run", "--settings-json", str(settings_file),
-                            "--scheduler", "0"])
+                            "--workers", "-1"])
         assert excinfo.value.code == 2
         capsys.readouterr()
-        # Scheduler-only flags without --scheduler are an error, not a
+        # Pool-only flags on the in-process path are an error, not a
         # silently uninjected run.
         assert sweep_cli.main(["run", "--settings-json", str(settings_file),
                                "--inject-fault", "0:1"]) == 2
-        assert "require --scheduler" in capsys.readouterr().err
+        assert "require --workers 2 or more" in capsys.readouterr().err
 
 
 class TestReproCache:
@@ -234,9 +232,33 @@ class TestReproCache:
     def test_verify_clean_and_corrupt(self, capsys, warm_root):
         root, config = warm_root
         assert cache_cli.main(["verify", str(root)]) == 0
-        entry = root / config_key(config)[:2] / f"{config_key(config)}.json"
-        entry.write_text("garbage")
+        (pack,) = ResultCache(root)._pack_files()
+        pack.write_text("garbage")
         assert cache_cli.main(["verify", str(root)]) == 1
+
+    def test_loose_entries_are_named_then_packed(self, capsys, warm_root):
+        root, config = warm_root
+        cache = ResultCache(root)
+        (pack,) = cache._pack_files()
+        key = config_key(config)
+        data = exec_cache._read_span(pack, *exec_cache._read_pack_index(
+            pack)[key])
+        pack.unlink()
+        loose = root / key[:2] / f"{key}.json"
+        loose.parent.mkdir()
+        loose.write_bytes(data)                      # an older release's file
+        capsys.readouterr()
+        assert cache_cli.main(["stats", str(root)]) == 0
+        out = capsys.readouterr().out
+        assert f"{key[:2]}/{key}.json" in out and "repro-cache pack" in out
+        assert cache_cli.main(["verify", str(root)]) == 1
+        assert "1 loose" in capsys.readouterr().out
+        assert cache_cli.main(["prune", str(root)]) == 0
+        assert loose.exists()                        # prune never drops it
+        assert cache_cli.main(["pack", str(root)]) == 0
+        assert "packed 1 loose entr(ies)" in capsys.readouterr().out
+        assert cache_cli.main(["verify", str(root)]) == 0
+        assert ResultCache(root).get(config) is not None
 
     def test_prune_reports_orphan_temps(self, capsys, warm_root):
         root, _config = warm_root
@@ -265,10 +287,11 @@ class TestReproCache:
     def test_merge_conflict_exits_nonzero(self, tmp_path, capsys, warm_root):
         root, config = warm_root
         other = ResultCache(tmp_path / "other")
-        entry = root / config_key(config)[:2] / f"{config_key(config)}.json"
-        other_entry = other.root / entry.parent.name / entry.name
-        other_entry.parent.mkdir(parents=True)
-        other_entry.write_text(entry.read_text() + " ")
+        (pack,) = ResultCache(root)._pack_files()
+        key = config_key(config)
+        data = exec_cache._read_span(pack, *exec_cache._read_pack_index(
+            pack)[key])
+        other._write_pack([(key, data + b" ")])
         assert cache_cli.main(["merge", str(root), str(other.root)]) == 1
         assert "1 conflict(s)" in capsys.readouterr().out
 

@@ -1,9 +1,9 @@
-"""Tests for the execution subsystem (executors, cache, serialization).
+"""Tests for the execution subsystem (executor, cache, serialization).
 
 The two properties the subsystem promises:
 
-* **Determinism** — a parallel sweep is bit-for-bit identical to a serial
-  sweep of the same settings.
+* **Determinism** — a sweep on worker processes is bit-for-bit identical
+  to the in-process sweep of the same settings.
 * **Cache round trip** — a second invocation of the same sweep against
   the same cache performs zero simulations and yields identical results.
 """
@@ -19,13 +19,13 @@ import pytest
 import repro.exec.cache as exec_cache
 from repro.exec import (
     ARTIFACT_FORMAT_VERSION,
-    ParallelExecutor,
+    ClusterExecutor,
     ResultCache,
-    SerialExecutor,
     StaleArtifactError,
-    build_executor,
+    add_executor_options,
     config_key,
-    resolve_executor,
+    executor_for,
+    executor_from_args,
 )
 from repro.experiments.sweep import SweepResult, SweepSettings, run_speed_sweep
 from repro.scenario.config import ScenarioConfig
@@ -51,9 +51,24 @@ def tiny_result() -> ScenarioResult:
     return run_scenario(tiny_config())
 
 
+def write_loose(cache: ResultCache, key: str, data: bytes):
+    """Plant a loose ``<2-char>/<key>.json`` entry, as older releases
+    wrote them (nothing in the package writes that layout any more)."""
+    path = cache.root / key[:2] / f"{key}.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(data)
+    return path
+
+
+def entry_bytes(cache: ResultCache, config: ScenarioConfig) -> bytes:
+    """The raw packed bytes of ``config``'s (first) entry."""
+    location = cache._pack_index()[config_key(config)][0]
+    return exec_cache._read_span(*location)
+
+
 @pytest.fixture(scope="module")
 def smoke_serial() -> SweepResult:
-    """The smoke-grid sweep on the serial executor (the reference)."""
+    """The smoke-grid sweep on the in-process executor (the reference)."""
     return run_speed_sweep(SweepSettings.smoke())
 
 
@@ -119,59 +134,66 @@ class TestSerialization:
 class TestExecutors:
     def test_serial_executor_matches_direct_runs(self):
         configs = [tiny_config(seed=1), tiny_config(seed=2)]
-        executor = SerialExecutor()
+        executor = ClusterExecutor()
         results = executor.run(configs)
-        assert executor.simulations_run == 2
+        assert executor.cells_streamed == 2
         assert [r.seed for r in results] == [1, 2]
         assert results[0] == run_scenario(configs[0])
 
     def test_progress_callback_sees_every_run(self):
         seen = []
-        SerialExecutor().run([tiny_config(seed=1), tiny_config(seed=2)],
-                             progress=lambda i, c, r: seen.append((i, c.seed)))
+        ClusterExecutor().run([tiny_config(seed=1), tiny_config(seed=2)],
+                              progress=lambda i, c, r: seen.append((i, c.seed)))
         assert sorted(seen) == [(0, 1), (1, 2)]
 
     def test_parallel_rejects_bad_worker_count(self):
         with pytest.raises(ValueError):
-            ParallelExecutor(max_workers=0)
+            ClusterExecutor(shards=0)
 
-    def test_resolve_executor_defaults_to_serial(self, tmp_path):
-        executor = resolve_executor(None, None)
-        assert isinstance(executor, SerialExecutor)
-        assert executor.cache is None
-        cached = resolve_executor(None, ResultCache(tmp_path))
-        assert cached.cache is not None
+    def test_default_executor_runs_in_process(self, tmp_path, monkeypatch):
+        executor = executor_for(None, None)
+        assert executor.shards == 1 and executor.cache is None
 
-    def test_resolve_executor_rejects_conflicting_caches(self, tmp_path):
-        executor = SerialExecutor(cache=ResultCache(tmp_path / "a"))
-        with pytest.raises(ValueError, match="rooted elsewhere"):
-            resolve_executor(executor, ResultCache(tmp_path / "b"))
-        # Same cache object, a distinct cache with the same root (e.g. the
-        # same path string passed twice), or a cache-less executor: all fine.
-        assert resolve_executor(executor, executor.cache) is executor
-        assert resolve_executor(executor, ResultCache(tmp_path / "a")) is executor
-        assert resolve_executor(executor, str(tmp_path / "a")) is executor
-        bare = SerialExecutor()
-        assert resolve_executor(bare, ResultCache(tmp_path / "c")) is bare
-        assert bare.cache is not None
+        def no_process(*_args, **_kwargs):  # pragma: no cover - must not run
+            raise AssertionError("the in-process path started a process")
 
-    def test_build_executor_factory(self, tmp_path):
-        assert isinstance(build_executor(1), SerialExecutor)
-        parallel = build_executor(3, tmp_path / "cache")
-        assert isinstance(parallel, ParallelExecutor)
-        assert parallel.max_workers == 3
-        assert isinstance(parallel.cache, ResultCache)
-        # 0 = one worker per core; on a single-core box that is serial.
-        auto = build_executor(0)
-        assert isinstance(auto, (SerialExecutor, ParallelExecutor))
-        with pytest.raises(ValueError):
-            build_executor(-1)
+        monkeypatch.setattr("repro.exec.scheduler.WorkerPool", no_process)
+        cached = executor_for(None, ResultCache(tmp_path))
+        cached.run([tiny_config(seed=1)])
+        assert cached.cache is not None and len(cached.cache) == 1
+        assert cached.workers_launched == 0
+
+    def test_executor_and_cache_are_exclusive(self, tmp_path):
+        executor = ClusterExecutor(cache=ResultCache(tmp_path / "a"))
+        with pytest.raises(ValueError, match="not both"):
+            executor_for(executor, ResultCache(tmp_path / "b"))
+        with pytest.raises(ValueError, match="not both"):
+            run_scenario(tiny_config(), executor=executor,
+                         cache=ResultCache(tmp_path / "a"))
+        assert executor_for(executor, None) is executor
+
+    def test_workers_option_builds_the_executor(self, tmp_path):
+        import argparse
+        parser = argparse.ArgumentParser()
+        add_executor_options(parser)
+        serial = executor_from_args(parser.parse_args([]))
+        assert (serial.shards, serial.cache) == (1, None)
+        pooled = executor_from_args(parser.parse_args(
+            ["--workers", "3", "--cache", str(tmp_path / "cache")]))
+        assert pooled.shards == 3
+        assert isinstance(pooled.cache, ResultCache)
+        # 0 = one worker per core.
+        auto = executor_from_args(parser.parse_args(["--workers", "0"]))
+        assert auto.shards == (os.cpu_count() or 1)
+        with pytest.raises(SystemExit):
+            parser.parse_args(["--workers", "-1"])
 
     def test_parallel_sweep_identical_to_serial(self, smoke_serial):
-        """ISSUE requirement: ParallelExecutor and SerialExecutor produce
-        identical SweepResult.rows() for SweepSettings.smoke()."""
-        parallel = run_speed_sweep(SweepSettings.smoke(),
-                                   executor=ParallelExecutor(max_workers=2))
+        """Two pool workers and the in-process path produce identical
+        SweepResult.rows() for SweepSettings.smoke()."""
+        with ClusterExecutor(shards=2) as executor:
+            parallel = run_speed_sweep(SweepSettings.smoke(),
+                                       executor=executor)
         assert (json.dumps(parallel.rows())
                 == json.dumps(smoke_serial.rows()))
         # Identical beyond the aggregates: every individual run matches.
@@ -179,7 +201,7 @@ class TestExecutors:
 
     def test_run_replications_accepts_executor(self):
         aggregate, results = run_replications(tiny_config(), replications=2,
-                                              executor=SerialExecutor())
+                                              executor=ClusterExecutor())
         assert aggregate.replications == 2
         assert len(results) == 2
 
@@ -216,13 +238,13 @@ class TestResultCache:
         """ISSUE requirement: a repeated sweep against the same cache is
         served entirely from disk."""
         cache = ResultCache(tmp_path / "cache")
-        first = SerialExecutor(cache=cache)
+        first = ClusterExecutor(cache=cache)
         warmed = run_speed_sweep(SweepSettings.smoke(), executor=first)
-        assert first.simulations_run == len(SweepSettings.smoke().grid())
+        assert first.cells_streamed == len(SweepSettings.smoke().grid())
 
-        second = SerialExecutor(cache=cache)
+        second = ClusterExecutor(cache=cache)
         replayed = run_speed_sweep(SweepSettings.smoke(), executor=second)
-        assert second.simulations_run == 0
+        assert second.cells_streamed == 0
         assert cache.hits == len(SweepSettings.smoke().grid())
         assert json.dumps(replayed.rows()) == json.dumps(warmed.rows())
         assert json.dumps(replayed.rows()) == json.dumps(smoke_serial.rows())
@@ -234,9 +256,35 @@ class TestResultCache:
         protocol, speed, replication = settings.grid()[0]
         run_scenario(settings.cell_config(protocol, speed, replication),
                      cache=cache)
-        executor = SerialExecutor(cache=cache)
+        executor = ClusterExecutor(cache=cache)
         run_speed_sweep(settings, executor=executor)
-        assert executor.simulations_run == len(settings.grid()) - 1
+        assert executor.cells_streamed == len(settings.grid()) - 1
+
+
+    def test_lookup_lists_the_pack_directory_once(self, tmp_path,
+                                                  tiny_result, monkeypatch):
+        """A batch lookup lists ``packs/`` once, not once per config —
+        yet still sees segments written since the previous call."""
+        cache = ResultCache(tmp_path / "cache")
+        configs = [tiny_config(seed=seed) for seed in range(1, 7)]
+        for config in configs[:4]:
+            cache.put(config, tiny_result)           # four segments
+        listings = []
+        original = ResultCache._pack_files
+
+        def counting(self):
+            listings.append(self.root)
+            return original(self)
+
+        monkeypatch.setattr(ResultCache, "_pack_files", counting)
+        hits, misses = cache.lookup(configs)
+        assert sorted(hits) == [0, 1, 2, 3] and misses == [4, 5]
+        assert len(listings) == 1
+        # A segment flushed by another writer shows up on the next call.
+        ResultCache(cache.root).put(configs[4], tiny_result)
+        listings.clear()
+        hits, misses = cache.lookup(configs)
+        assert misses == [5] and len(listings) == 1
 
 
 class TestCacheMaintenance:
@@ -290,33 +338,37 @@ class TestCacheMaintenance:
                                                          tiny_result):
         cache = self.warm_cache(tmp_path, tiny_result)
         assert cache.verify() == []
-        # Corrupt one entry, mis-key another (valid JSON, wrong filename).
-        paths = sorted(cache._entry_files())
+        # Corrupt one segment, mis-key another entry (valid JSON, filed
+        # under the wrong index key).
+        paths = cache._pack_files()
         paths[0].write_text("not json")
-        ff_dir = cache.root / "ff"
-        ff_dir.mkdir(exist_ok=True)
-        paths[1].rename(ff_dir / ("ff" + paths[1].name[2:]))
+        data = exec_cache._read_span(
+            paths[1], *exec_cache._read_pack_index(paths[1]).popitem()[1])
+        paths[1].unlink()
+        cache._write_pack([("ff" * 32, data)])
         problems = cache.verify()
         assert sorted(p.kind for p in problems) == ["corrupt", "corrupt"]
 
     def test_verify_flags_other_version_entries_as_stale(self, tmp_path,
                                                          tiny_result):
         cache = self.warm_cache(tmp_path, tiny_result, n=1)
-        path = next(iter(cache._entry_files()))
-        payload = json.loads(path.read_text())
+        config = tiny_config(seed=1)
+        payload = json.loads(entry_bytes(cache, config))
         payload["repro_version"] = "0.0.1"
-        path.write_text(json.dumps(payload))
+        cache.clear()
+        cache._write_pack([(config_key(config),
+                            json.dumps(payload).encode("utf-8"))])
         problems = cache.verify()
         assert [p.kind for p in problems] == ["stale"]
 
     def test_prune_removes_bad_entries_and_orphans(self, tmp_path,
                                                    tiny_result):
         cache = self.warm_cache(tmp_path, tiny_result)
-        next(iter(cache._entry_files())).write_text("broken")
+        cache._pack_files()[0].write_text("broken")
         self.orphan_temp(cache)
         dry = cache.prune(dry_run=True)
         assert (dry.corrupt, dry.temp_files) == (1, 1)
-        assert len(cache) == 3                       # nothing removed yet
+        assert len(cache._pack_files()) == 3         # nothing removed yet
         report = cache.prune()
         assert (report.corrupt, report.stale, report.temp_files) == (1, 0, 1)
         assert len(cache) == 2
@@ -324,7 +376,7 @@ class TestCacheMaintenance:
 
     def test_gc_by_age_and_size(self, tmp_path, tiny_result):
         cache = self.warm_cache(tmp_path, tiny_result)
-        paths = sorted(cache._entry_files())
+        paths = cache._pack_files()
         os.utime(paths[0], (time.time() - 10 * 86400,) * 2)
         assert cache.gc(max_age_seconds=86400.0, dry_run=True) == [paths[0]]
         assert len(cache) == 3
@@ -366,34 +418,34 @@ class TestCacheMaintenance:
             self, tmp_path, tiny_result):
         a = ResultCache(tmp_path / "a")
         b = ResultCache(tmp_path / "b")
-        path_a = a.put(tiny_config(seed=1), tiny_result)
-        b.put(tiny_config(seed=1), tiny_result)
-        original = path_a.read_text()
-        path_a.write_text(original + " ")            # same key, new bytes
+        config = tiny_config(seed=1)
+        a.put(config, tiny_result).unlink()
+        b.put(config, tiny_result)
+        changed = entry_bytes(b, config) + b" "     # same key, new bytes
+        a._write_pack([(config_key(config), changed)])
         stats = a.merge_from(b)
         assert (stats.copied, stats.conflicts) == (0, 1)
-        assert path_a.read_text() == original + " "  # destination kept
+        assert entry_bytes(a, config) == changed     # destination kept
 
 
 class TestPackedCache:
     """Batched cache I/O: packed segments under ``<root>/packs/``.
 
-    The PR-10 contract: a packed entry is byte-identical to its loose
-    form and indistinguishable to every reader — same content-addressed
-    key, same version guard, same O(1) probe — while a whole batch lands
-    durably with a single fsync.
+    The contract: packed segments are the only layout any writer
+    produces — same content-addressed key, same version guard, same O(1)
+    probe — and a whole batch lands durably with a single fsync.
     """
 
     def packed_cache(self, tmp_path, tiny_result, n=3) -> ResultCache:
         cache = ResultCache(tmp_path / "cache")
         cache.put_many([(tiny_config(seed=seed), tiny_result)
-                        for seed in range(1, n + 1)], pack=True)
+                        for seed in range(1, n + 1)])
         return cache
 
     def test_put_many_packed_round_trip(self, tmp_path, tiny_result):
         cache = self.packed_cache(tmp_path, tiny_result)
         assert len(cache) == 3
-        assert cache._entry_files() == []            # nothing loose
+        assert cache._loose_files() == []            # nothing loose
         assert len(cache._pack_files()) == 1         # one segment, one fsync
         for seed in (1, 2, 3):
             config = tiny_config(seed=seed)
@@ -402,37 +454,70 @@ class TestPackedCache:
             assert cache.get(config) == tiny_result
 
     def test_put_many_loose_matches_put(self, tmp_path, tiny_result):
-        cache = ResultCache(tmp_path / "cache")
-        paths = cache.put_many([(tiny_config(seed=seed), tiny_result)
-                                for seed in (1, 2)])
-        assert paths == [cache.path_for(tiny_config(seed=seed))
-                         for seed in (1, 2)]
-        assert cache._pack_files() == []
-        assert cache.put_many([]) == []
+        """A batch stores exactly the bytes one-entry puts store."""
+        single = ResultCache(tmp_path / "single")
+        batch = ResultCache(tmp_path / "batch")
+        configs = [tiny_config(seed=seed) for seed in (1, 2)]
+        paths = [single.put(config, tiny_result) for config in configs]
+        assert len(set(paths)) == 2                  # a pack of one each
+        assert batch.put_many([(config, tiny_result) for config in configs]) \
+            == batch._pack_files()[0]
+        for config in configs:
+            assert entry_bytes(batch, config) == entry_bytes(single, config)
+        with pytest.raises(ValueError):
+            batch.put_many([])
 
     def test_packed_bytes_identical_to_loose(self, tmp_path, tiny_result):
         config = tiny_config(seed=1)
-        loose = ResultCache(tmp_path / "loose")
-        path = loose.put(config, tiny_result)
         packed = ResultCache(tmp_path / "packed")
-        packed.put_many([(config, tiny_result)], pack=True)
-        assert packed._entry_bytes(config_key(config)) == path.read_bytes()
+        packed.put(config, tiny_result)
+        data = entry_bytes(packed, config)
+        assert data == exec_cache._entry_text(
+            config_key(config), config, tiny_result).encode("utf-8")
+        # A current loose entry left by an older release migrates verbatim.
+        legacy = ResultCache(tmp_path / "legacy")
+        write_loose(legacy, config_key(config), data)
+        assert legacy.pack_all() == (1, 1)
+        assert entry_bytes(legacy, config) == data
 
-    def test_pack_all_unpack_all_round_trip(self, tmp_path, tiny_result):
+    def test_pack_all_migrates_loose_entries_byte_exact(self, tmp_path,
+                                                        tiny_result):
+        source = ResultCache(tmp_path / "source")
         cache = ResultCache(tmp_path / "cache")
+        before = {}
         for seed in range(1, 4):
-            cache.put(tiny_config(seed=seed), tiny_result)
-        before = {path.name: path.read_bytes()
-                  for path in cache._entry_files()}
+            config = tiny_config(seed=seed)
+            source.put(config, tiny_result)
+            before[config_key(config)] = entry_bytes(source, config)
+            write_loose(cache, config_key(config), before[config_key(config)])
+        assert len(cache) == 0                       # loose is never served
         assert cache.pack_all(batch_size=2) == (2, 3)
-        assert cache._entry_files() == []            # loose files consumed
+        assert cache._loose_files() == []            # loose files consumed
         assert len(cache) == 3                       # same logical entries
         assert cache.get(tiny_config(seed=2)) == tiny_result
-        assert cache.unpack_all() == (2, 3)
-        assert cache._pack_files() == []
-        after = {path.name: path.read_bytes()
-                 for path in cache._entry_files()}
-        assert after == before                       # byte-exact round trip
+        after = {key: exec_cache._read_span(*locations[0])
+                 for key, locations in cache._pack_index().items()}
+        assert after == before                       # byte-exact migration
+
+    def test_resimulated_entry_supersedes_a_stale_one(self, tmp_path,
+                                                      tiny_result):
+        """Writes never overwrite: a stale entry and its re-simulated
+        successor share a key in two segments, and readers pick the
+        current one whichever segment sorts first."""
+        cache = ResultCache(tmp_path / "cache")
+        config = tiny_config(seed=1)
+        cache.put(config, tiny_result)
+        payload = json.loads(entry_bytes(cache, config))
+        payload["repro_version"] = "0.0.1"
+        cache.clear()
+        cache._write_pack([(config_key(config),
+                            json.dumps(payload).encode("utf-8"))])
+        assert cache.get(config) is None
+        assert not cache.has_current(config)
+        cache.put(config, tiny_result)
+        assert len(cache._pack_files()) == 2
+        assert cache.get(config) == tiny_result
+        assert cache.has_current(config)
 
     def test_corrupt_pack_header_reads_as_miss_and_is_flagged(
             self, tmp_path, tiny_result):
@@ -463,13 +548,13 @@ class TestPackedCache:
 
     def test_stats_and_gc_over_packed_segments(self, tmp_path, tiny_result):
         cache = self.packed_cache(tmp_path, tiny_result, n=3)
-        cache.put(tiny_config(seed=9), tiny_result)  # one loose entry too
+        cache.put(tiny_config(seed=9), tiny_result)  # a pack of one too
         stats = cache.stats()
         assert stats.entries == 4
         assert stats.current == 4
-        assert (stats.packs, stats.packed_entries) == (1, 3)
+        assert (stats.packs, stats.loose_files) == (2, [])
         # GC ages a segment out as one unit (its entries share a batch).
-        pack = cache._pack_files()[0]
+        pack = max(cache._pack_files(), key=lambda path: path.stat().st_size)
         os.utime(pack, (time.time() - 10 * 86400,) * 2)
         assert cache.gc(max_age_seconds=86400.0) == [pack]
         assert len(cache) == 1
@@ -511,6 +596,7 @@ class TestHasCurrentProbe:
         cache = ResultCache(tmp_path)
         config = tiny_config()
         cache.put(config, tiny_result)
+        cache._pack_index()        # the segment index is metadata, read once
 
         def boom(*_args, **_kwargs):
             raise AssertionError("has_current touched the entry payload")
@@ -544,31 +630,86 @@ class TestHasCurrentProbe:
         monkeypatch.setattr(exec_cache, "__version__", "9.9.9")
         assert not cache.has_current(config)
 
-    def test_probe_accepts_legacy_entry_layout(self, tmp_path, tiny_result):
-        cache = ResultCache(tmp_path)
-        config = tiny_config()
-        path = cache.put(config, tiny_result)
-        payload = json.loads(path.read_text())
+    @staticmethod
+    def legacy_entry(cache, config, tiny_result, **changes) -> bytes:
+        """Plant ``config``'s entry as a pre-header loose file: a plain
+        sorted-key dump, as written before the guard header existed."""
+        cache.put(config, tiny_result)
+        current = entry_bytes(cache, config)
+        payload = json.loads(current)
         legacy = {field: payload[field]
                   for field in ("version", "repro_version", "key",
                                 "config", "result")}
-        # Pre-header entries are a plain sorted-key dump; the probe must
-        # fall back to the full check rather than miss on them.
-        path.write_text(json.dumps(legacy, sort_keys=True))
+        legacy.update(changes)
+        cache.clear()
+        write_loose(cache, config_key(config),
+                    json.dumps(legacy, sort_keys=True).encode("utf-8"))
+        return current
+
+    def test_probe_accepts_legacy_entry_layout(self, tmp_path, tiny_result):
+        cache = ResultCache(tmp_path)
+        config = tiny_config()
+        current = self.legacy_entry(cache, config, tiny_result)
+        # No reader serves a loose entry; verify names it instead.
+        assert not cache.has_current(config)
+        assert [p.kind for p in cache.verify()] == ["loose"]
+        # The one-time migration re-emits it in today's headered layout.
+        assert cache.pack_all() == (1, 1)
         assert cache.has_current(config)
         assert cache.get(config) == tiny_result
+        assert entry_bytes(cache, config) == current
 
     def test_probe_rejects_stale_legacy_entry(self, tmp_path, tiny_result):
         cache = ResultCache(tmp_path)
         config = tiny_config()
-        path = cache.put(config, tiny_result)
-        payload = json.loads(path.read_text())
-        legacy = {field: payload[field]
-                  for field in ("version", "repro_version", "key",
-                                "config", "result")}
-        legacy["repro_version"] = "0.0.1"
-        path.write_text(json.dumps(legacy, sort_keys=True))
+        self.legacy_entry(cache, config, tiny_result,
+                          repro_version="0.0.1")
+        assert cache.pack_all() == (1, 1)
         assert not cache.has_current(config)
+        assert cache.get(config) is None
+        assert [p.kind for p in cache.verify()] == ["stale"]
+
+
+class TestLooseMigration:
+    """``repro-cache pack`` is the one-time migration of loose entries."""
+
+    def test_verify_reports_pack_migrates_and_readers_agree(self, tmp_path,
+                                                           tiny_result):
+        source = ResultCache(tmp_path / "source")
+        cache = ResultCache(tmp_path / "cache")
+        current, pre_header, stale = (tiny_config(seed=seed)
+                                      for seed in (1, 2, 3))
+        for config in (current, pre_header, stale):
+            source.put(config, tiny_result)
+        write_loose(cache, config_key(current), entry_bytes(source, current))
+        payload = json.loads(entry_bytes(source, pre_header))
+        del payload["format_version"]
+        write_loose(cache, config_key(pre_header),
+                    json.dumps(payload, sort_keys=True).encode("utf-8"))
+        payload = json.loads(entry_bytes(source, stale))
+        payload["repro_version"] = "0.0.1"
+        write_loose(cache, config_key(stale),
+                    json.dumps(payload).encode("utf-8"))
+
+        # Before: every loose entry is named, none is served or pruned.
+        problems = cache.verify()
+        assert [p.kind for p in problems] == ["loose"] * 3
+        assert sorted(p.path for p in problems) == cache._loose_files()
+        assert len(cache.stats().loose_files) == 3
+        assert cache.prune().problems == problems
+        assert len(cache._loose_files()) == 3
+        assert cache.get(current) is None
+
+        assert cache.pack_all() == (1, 3)
+        assert cache._loose_files() == []
+        assert [p.kind for p in cache.verify()] == ["stale"]
+        for config in (current, pre_header, stale):
+            served = cache.get(config)
+            assert cache.has_current(config) == (served is not None)
+            assert served == (None if config is stale else tiny_result)
+        # The pre-header entry now holds exactly what the writer emits.
+        assert entry_bytes(cache, pre_header) \
+            == entry_bytes(source, pre_header)
 
 
 class TestGcEdgeCases:
@@ -583,7 +724,7 @@ class TestGcEdgeCases:
     def test_byte_budget_with_tied_mtimes_is_deterministic(self, tmp_path,
                                                            tiny_result):
         cache = self.warm(tmp_path, tiny_result)
-        paths = sorted(cache._entry_files())
+        paths = cache._pack_files()
         stamp = time.time() - 100
         for path in paths:
             os.utime(path, (stamp, stamp))
@@ -594,11 +735,11 @@ class TestGcEdgeCases:
         budget = sizes[1] + sizes[2]
         assert cache.gc(max_total_bytes=budget, dry_run=True) == [paths[0]]
         assert cache.gc(max_total_bytes=budget) == [paths[0]]
-        assert sorted(cache._entry_files()) == paths[1:]
+        assert cache._pack_files() == paths[1:]
 
     def test_combined_age_and_byte_budget(self, tmp_path, tiny_result):
         cache = self.warm(tmp_path, tiny_result, n=4)
-        paths = sorted(cache._entry_files())
+        paths = cache._pack_files()
         now = time.time()
         os.utime(paths[0], (now - 10 * 86400,) * 2)   # age-expired
         os.utime(paths[1], (now - 300,) * 2)
@@ -610,12 +751,12 @@ class TestGcEdgeCases:
         # oldest *survivor* — an age-expired entry is never double
         # counted against the budget.
         assert doomed == [paths[0], paths[1]]
-        assert sorted(cache._entry_files()) == paths[2:]
+        assert cache._pack_files() == paths[2:]
 
     def test_dry_run_predicts_the_exact_doomed_set(self, tmp_path,
                                                    tiny_result):
         cache = self.warm(tmp_path, tiny_result)
-        paths = sorted(cache._entry_files())
+        paths = cache._pack_files()
         os.utime(paths[1], (time.time() - 5 * 86400,) * 2)
         budget = paths[0].stat().st_size
         dry = cache.gc(max_age_seconds=86400.0, max_total_bytes=budget,

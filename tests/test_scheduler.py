@@ -1,11 +1,10 @@
-"""Determinism & fault-injection harness for the streaming shard scheduler.
+"""Determinism & fault-injection harness for the executor's worker pool.
 
-The ISSUE 4 acceptance criterion: a scheduler-merged
-:class:`~repro.experiments.sweep.SweepResult` is **bit-for-bit identical**
-(sha256 of the serialized artifact) to the serial sweep — with a cold
-cache, with a fully warm cache (zero simulations), and with a worker
-killed mid-shard and its cells rebalanced.  Everything here runs on a
-single core under the ``fork`` start method.
+The acceptance criterion: a sweep run on pool workers is **bit-for-bit
+identical** (sha256 of the serialized artifact) to the in-process sweep
+— with a cold cache, with a fully warm cache (zero simulations), and
+with a worker killed or hung mid-unit and its cells rebalanced.
+Everything here runs under the ``fork`` start method.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from repro.exec import (
     ResultCache,
     SchedulerError,
     ShardMerger,
-    ShardScheduler,
     partition_cells,
     plan_shards,
 )
@@ -46,7 +44,7 @@ def sha256(sweep: SweepResult) -> str:
 
 @pytest.fixture(scope="module")
 def tiny_serial() -> SweepResult:
-    """The serial single-process reference every mode must reproduce."""
+    """The in-process reference every mode must reproduce."""
     return run_speed_sweep(tiny_settings())
 
 
@@ -81,21 +79,22 @@ class TestPartition:
         # Round 0 on a cold cache schedules exactly the coordination-free
         # K-machine plan (minus empty shards).
         settings = tiny_settings()
-        cells = list(range(len(settings.grid())))
+        configs = settings.cell_configs()
+        cells = list(range(len(configs)))
         for count in (1, 2, 3):
             expected = [plan for plan in plan_shards(settings, count)
                         if plan]
-            assert partition_cells(settings, cells, count) == expected
+            assert partition_cells(configs, cells, count) == expected
 
     def test_partition_drops_empty_units_and_covers_cells(self):
         settings = tiny_settings()
-        units = partition_cells(settings, [0, 3], 8)
+        units = partition_cells(tiny_settings().cell_configs(), [0, 3], 8)
         assert all(units)
         assert sorted(index for unit in units for index in unit) == [0, 3]
 
     def test_rejects_bad_unit_count(self):
         with pytest.raises(ValueError):
-            partition_cells(tiny_settings(), [0], 0)
+            partition_cells(tiny_settings().cell_configs(), [0], 0)
 
 
 def test_has_current_is_version_guarded_and_counter_free(tmp_path):
@@ -104,6 +103,8 @@ def test_has_current_is_version_guarded_and_counter_free(tmp_path):
     cache's hit/miss statistics."""
     import json
 
+    import repro.exec.cache as exec_cache
+    from repro.exec import config_key
     from repro.scenario.config import ScenarioConfig
     from repro.scenario.runner import run_scenario
 
@@ -113,10 +114,11 @@ def test_has_current_is_version_guarded_and_counter_free(tmp_path):
     counters = (cache.hits, cache.misses)
     assert cache.has_current(config)
     assert not cache.has_current(config.replace(seed=config.seed + 1))
-    entry = cache.path_for(config)
-    payload = json.loads(entry.read_text(encoding="utf-8"))
+    key = config_key(config)
+    payload = json.loads(exec_cache._read_span(*cache._pack_index()[key][0]))
     payload["repro_version"] = "0.0.0"
-    entry.write_text(json.dumps(payload), encoding="utf-8")
+    cache.clear()
+    cache._write_pack([(key, json.dumps(payload).encode("utf-8"))])
     assert not cache.has_current(config)
     assert (cache.hits, cache.misses) == counters
 
@@ -135,8 +137,8 @@ class TestSchedulerValidation:
     def test_constructor_rejects_bad_knobs(self):
         with pytest.raises(ValueError):
             ClusterExecutor(shards=0)
-        with pytest.raises(ValueError):
-            ClusterExecutor(workers=0)
+        with pytest.raises(ValueError, match="shards > 1"):
+            ClusterExecutor(faults=[FaultInjection(0, 1)])
         with pytest.raises(ValueError):
             ClusterExecutor(max_retries=-1)
         with pytest.raises(ValueError):
@@ -148,12 +150,10 @@ class TestSchedulerValidation:
         # Without the heartbeat a wedged worker would block run_sweep
         # forever; the constructor rejects the combination up front.
         with pytest.raises(ValueError, match="worker_timeout"):
-            ClusterExecutor(faults=[FaultInjection(0, 1, mode="hang")])
-        ClusterExecutor(faults=[FaultInjection(0, 1, mode="hang")],
+            ClusterExecutor(shards=2,
+                            faults=[FaultInjection(0, 1, mode="hang")])
+        ClusterExecutor(shards=2, faults=[FaultInjection(0, 1, mode="hang")],
                         worker_timeout=5.0)
-
-    def test_shard_scheduler_is_the_same_class(self):
-        assert ShardScheduler is ClusterExecutor
 
 
 class TestScheduledSweep:
@@ -174,7 +174,7 @@ class TestScheduledSweep:
         assert merged.to_json() == tiny_serial.to_json()
 
     def test_more_shards_than_cells_still_covers_the_grid(self, tiny_serial):
-        scheduler = ClusterExecutor(shards=16, workers=4)
+        scheduler = ClusterExecutor(shards=16)
         merged = scheduler.run_sweep(tiny_settings())
         assert sha256(merged) == sha256(tiny_serial)
 
@@ -198,7 +198,7 @@ class TestScheduledSweep:
         def boom(*args, **kwargs):  # pragma: no cover - must not be hit
             raise AssertionError("warm replay must not simulate")
 
-        monkeypatch.setattr("repro.exec.executor.simulate", boom)
+        monkeypatch.setattr("repro.exec.scheduler.simulate", boom)
         monkeypatch.setattr("repro.scenario.builder.ScenarioBuilder.build",
                             boom)
         scheduler = ClusterExecutor(shards=2, cache=cache)
@@ -271,7 +271,8 @@ class TestScheduledSweep:
 
     def test_every_worker_killed_exhausts_retries(self, tmp_path):
         settings = tiny_settings()
-        units = partition_cells(settings, range(len(settings.grid())), 2)
+        configs = settings.cell_configs()
+        units = partition_cells(configs, range(len(configs)), 2)
         scheduler = ClusterExecutor(
             shards=2, max_retries=0, cache=tmp_path / "cache",
             faults=[FaultInjection(unit=index, after_cells=1)
@@ -311,9 +312,9 @@ class TestScheduledSweep:
 
 
 class TestWorkerPool:
-    """PR-10 pool criteria: spawn once, stay warm across rounds *and*
-    across :meth:`run_sweep` calls, reuse survivors when rebalancing,
-    and drain cleanly when a sweep fails."""
+    """Pool criteria: spawn once, stay warm across rounds *and* across
+    :meth:`run_sweep` calls, reuse survivors when rebalancing, and drain
+    cleanly when a sweep fails."""
 
     def test_pool_survives_across_runs(self, tmp_path, tiny_serial):
         settings = tiny_settings()
@@ -372,7 +373,8 @@ class TestWorkerPool:
     def test_pool_drained_on_scheduler_error_then_reusable(self, tmp_path,
                                                            tiny_serial):
         settings = tiny_settings()
-        units = partition_cells(settings, range(len(settings.grid())), 2)
+        configs = settings.cell_configs()
+        units = partition_cells(configs, range(len(configs)), 2)
         scheduler = ClusterExecutor(
             shards=2, max_retries=0, cache=tmp_path / "cache",
             faults=[FaultInjection(unit=index, after_cells=1)
@@ -390,18 +392,60 @@ class TestWorkerPool:
         assert scheduler.workers_spawned >= 1
         assert scheduler.cells_from_cache >= len(units)
 
-    def test_no_pool_mode_is_byte_identical_and_never_reuses(self, tmp_path,
-                                                             tiny_serial):
-        """--no-pool keeps the relaunch-per-round A/B reference path."""
-        settings = tiny_settings()
-        scheduler = ClusterExecutor(shards=2, cache=tmp_path / "cache",
-                                    use_pool=False)
-        merged = scheduler.run_sweep(settings)
-        assert sha256(merged) == sha256(tiny_serial)
-        assert scheduler.workers_spawned == 2
-        assert scheduler.workers_reused == 0
-        # Every worker was retired after its round; nothing stays warm.
-        assert len(scheduler._pool or []) == 0
+
+class TestRunConfigs:
+    """``run`` takes any configs, returns results in input order, and
+    writes the cache in batches on both paths."""
+
+    @staticmethod
+    def configs(count: int):
+        from repro.scenario.config import ScenarioConfig
+        return [ScenarioConfig.tiny(seed=seed, sim_time=1.0)
+                for seed in range(1, count + 1)]
+
+    def test_pool_returns_results_in_input_order(self, tmp_path):
+        configs = self.configs(5)
+        configs.append(configs[0])                   # a repeated config
+        with ClusterExecutor(shards=2, cache=tmp_path / "cache") as pool:
+            results = pool.run(configs)
+        assert results == [run_scenario(config) for config in configs]
+
+    def test_in_process_run_batches_cache_writes(self, tmp_path,
+                                                 monkeypatch):
+        from repro.exec.scheduler import FLUSH_CELLS
+
+        written = []
+        original = ResultCache.put_many
+
+        def counting(self, items):
+            written.append(len(items))
+            return original(self, items)
+
+        monkeypatch.setattr(ResultCache, "put_many", counting)
+        configs = self.configs(FLUSH_CELLS + 2)
+        executor = ClusterExecutor(cache=tmp_path / "cache")
+        executor.run(configs)
+        assert written == [FLUSH_CELLS, 2]
+        assert executor.workers_launched == 0
+        assert executor._pool is None                # no process started
+        assert len(executor.cache) == len(configs)
+
+    def test_interrupted_in_process_run_keeps_completed_cells(self,
+                                                              tmp_path):
+        configs = self.configs(4)
+        executor = ClusterExecutor(cache=tmp_path / "cache")
+
+        def interrupt(index, _config, _result):
+            if index == 2:
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            executor.run(configs, progress=interrupt)
+        # The three cells completed before the interrupt are durable.
+        assert len(executor.cache) == 3
+        assert executor.run(configs) == [run_scenario(config)
+                                         for config in configs]
+        assert executor.cells_from_cache == 3
 
 
 def test_streaming_merge_is_byte_identical_to_whole_shard_merge(tiny_serial):

@@ -13,8 +13,8 @@ from __future__ import annotations
 import pytest
 
 from repro.exec import (
+    ClusterExecutor,
     ResultCache,
-    SerialExecutor,
     ShardMerger,
     ShardSpec,
     SweepShard,
@@ -39,7 +39,7 @@ def tiny_settings(**overrides) -> SweepSettings:
 
 @pytest.fixture(scope="module")
 def smoke_serial() -> SweepResult:
-    """The smoke-grid sweep on the serial executor (the reference)."""
+    """The smoke-grid sweep on the in-process executor (the reference)."""
     return run_speed_sweep(SweepSettings.smoke())
 
 
@@ -94,7 +94,7 @@ class TestShardedSweep:
             caches.append(cache)
             shards.append(run_sweep_shard(
                 settings, shard=ShardSpec(index, count),
-                executor=SerialExecutor(cache=cache)))
+                executor=ClusterExecutor(cache=cache)))
         return shards, caches
 
     def test_two_shard_smoke_sweep_merges_bit_for_bit(self, tmp_path,
@@ -115,9 +115,9 @@ class TestShardedSweep:
         for cache in caches:
             combined.merge_from(cache)
         assert len(combined) == len(settings.grid())
-        replay = SerialExecutor(cache=combined)
+        replay = ClusterExecutor(cache=combined)
         replayed = run_speed_sweep(settings, executor=replay)
-        assert replay.simulations_run == 0
+        assert replay.cells_streamed == 0
         assert combined.hits == len(settings.grid())
         assert combined.misses == 0
         assert replayed.to_json() == smoke_serial.to_json()
@@ -185,7 +185,7 @@ class TestMergeValidation:
 
 
 class TestShardMerger:
-    """The incremental merger behind the streaming scheduler."""
+    """The incremental merger behind merge_shard_results."""
 
     @pytest.fixture(scope="class")
     def shards(self, tmp_path_factory):
